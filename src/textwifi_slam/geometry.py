@@ -2,15 +2,18 @@
 
 Everything downstream (scan registration, pose-graph optimization, the
 simulator) works in SE(2). Poses are (x, y, theta) with theta kept
-normalized in (-pi, pi]; point clouds are read-only (n, 2) float arrays.
+normalized in (-pi, pi]; point clouds are read-only (n, 2) float arrays
+that build their nearest-neighbour KD-tree once, on first use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 TWO_PI = 2.0 * math.pi
 
@@ -105,6 +108,15 @@ class PointCloud2:
     @property
     def is_empty(self) -> bool:
         return len(self) == 0
+
+    @cached_property
+    def kdtree(self) -> cKDTree:
+        """Nearest-neighbour index over the points, built on first use and kept.
+
+        Safe to cache because the points are frozen; scan registration
+        queries one target cloud many times.
+        """
+        return cKDTree(self.points)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PointCloud2):

@@ -1,8 +1,10 @@
 """Rigid 2D scan registration.
 
-svd_rigid_fit solves the closed-form least-squares alignment of matched
-point pairs; icp_register wraps it in the usual iterate-correspond loop with
-a nearest-neighbour search bounded by a correspondence radius.
+svd_rigid_fit solves the least-squares alignment of matched point pairs in
+closed form; icp_register wraps the same fit in the usual iterate-correspond
+loop with a nearest-neighbour search bounded by a correspondence radius.
+The loop keeps its pose as plain floats and queries the target's cached
+KD-tree, so one iteration costs the query plus a handful of numpy calls.
 """
 
 from __future__ import annotations
@@ -13,9 +15,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .geometry import Pose2, PointCloud2, compose, transform_points
+from .geometry import Pose2, PointCloud2, normalize_angle
 
 log = logging.getLogger(__name__)
 
@@ -41,11 +42,40 @@ class IcpResult:
     inlier_fraction: float
 
 
+def _rigid_fit(src: np.ndarray, tgt: np.ndarray) -> tuple[float, float, float, float, float]:
+    """Planar Kabsch in closed form: (theta, cos, sin, tx, ty) sending src onto tgt.
+
+    The rotation maximising sum(q . R p) over the centred pairs is
+    theta = atan2(Sxy - Syx, Sxx + Syy) of their cross-covariance S, which
+    is always a proper rotation. Inputs are matching (n, 2) float arrays.
+    """
+    n = len(src)
+    src_mean = src.sum(axis=0) / n
+    tgt_mean = tgt.sum(axis=0) / n
+    src_c = src - src_mean
+    if float(np.abs(src_c).max()) < 1e-12:
+        raise ValueError("source points are coincident, rotation is unobservable")
+    (sxx, sxy), (syx, syy) = (src_c.T @ (tgt - tgt_mean)).tolist()
+    theta = math.atan2(sxy - syx, sxx + syy)
+    c, s = math.cos(theta), math.sin(theta)
+    px, py = src_mean.tolist()
+    qx, qy = tgt_mean.tolist()
+    return theta, c, s, qx - (c * px - s * py), qy - (s * px + c * py)
+
+
+def _moved(points: np.ndarray, x: float, y: float, theta: float) -> np.ndarray:
+    """transform_points for a pose held as three floats."""
+    c, s = math.cos(theta), math.sin(theta)
+    return points @ np.array([[c, s], [-s, c]]) + np.array([x, y])
+
+
 def svd_rigid_fit(source: np.ndarray, target: np.ndarray) -> Pose2:
     """Least-squares rigid transform sending source points onto target points.
 
-    Kabsch in 2D: SVD of the centered cross-covariance with a determinant
-    correction so the result is a proper rotation, never a reflection.
+    Kabsch in 2D, solved in closed form rather than by SVD (the name is kept
+    for compatibility): the rotation angle is atan2 of the antisymmetric and
+    symmetric parts of the centred cross-covariance, so the result is always
+    a proper rotation, never a reflection.
     """
     src = np.asarray(source, dtype=float)
     tgt = np.asarray(target, dtype=float)
@@ -53,19 +83,8 @@ def svd_rigid_fit(source: np.ndarray, target: np.ndarray) -> Pose2:
         raise ValueError("source and target must be matching (n, 2) arrays")
     if src.shape[0] < 2:
         raise ValueError("need at least two point pairs for a rigid fit")
-    src_mean = src.mean(axis=0)
-    tgt_mean = tgt.mean(axis=0)
-    src_c = src - src_mean
-    tgt_c = tgt - tgt_mean
-    if float(np.max(np.abs(src_c))) < 1e-12:
-        raise ValueError("source points are coincident, rotation is unobservable")
-    cov = src_c.T @ tgt_c
-    u, _, vt = np.linalg.svd(cov)
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    rot = vt.T @ np.diag([1.0, d]) @ u.T
-    theta = math.atan2(rot[1, 0], rot[0, 0])
-    tx, ty = tgt_mean - rot @ src_mean
-    return Pose2(float(tx), float(ty), theta)
+    theta, _, _, tx, ty = _rigid_fit(src, tgt)
+    return Pose2(tx, ty, theta)
 
 
 def icp_register(
@@ -91,29 +110,35 @@ def icp_register(
     if correspondence_radius_m <= 0.0 or tolerance <= 0.0:
         raise ValueError("correspondence radius and tolerance must be positive")
 
-    tree = cKDTree(target.points)
-    pose = initial
+    tree = target.kdtree
+    src, tgt = source.points, target.points
+    n = len(source)
+    x, y, theta = initial.x, initial.y, initial.theta
     converged = False
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        moved = transform_points(pose, source.points)
+        moved = _moved(src, x, y, theta)
         dist, idx = tree.query(moved, distance_upper_bound=correspondence_radius_m)
         mask = np.isfinite(dist)
-        if int(mask.sum()) < 3:
+        inliers = int(np.count_nonzero(mask))
+        if inliers < 3:
             log.debug(
                 "ICP lost correspondences at iteration %d (%d within %.2f m)",
-                iterations, int(mask.sum()), correspondence_radius_m,
+                iterations, inliers, correspondence_radius_m,
             )
-            return IcpResult(pose, math.inf, iterations, False, float(mask.mean()))
-        delta = svd_rigid_fit(moved[mask], target.points[idx[mask]])
-        pose = compose(delta, pose)
-        step = math.hypot(delta.x, delta.y) + abs(delta.theta)
-        if step < tolerance:
+            return IcpResult(Pose2(x, y, theta), math.inf, iterations, False, inliers / n)
+        if inliers == n:
+            dtheta, c, s, dx, dy = _rigid_fit(moved, tgt[idx])
+        else:
+            dtheta, c, s, dx, dy = _rigid_fit(moved[mask], tgt[idx[mask]])
+        x, y = dx + c * x - s * y, dy + s * x + c * y
+        theta = normalize_angle(theta + dtheta)
+        if math.hypot(dx, dy) + abs(dtheta) < tolerance:
             converged = True
             break
 
-    moved = transform_points(pose, source.points)
-    dist, idx = tree.query(moved, distance_upper_bound=correspondence_radius_m)
+    pose = Pose2(x, y, theta)
+    dist, _ = tree.query(_moved(src, x, y, theta), distance_upper_bound=correspondence_radius_m)
     mask = np.isfinite(dist)
     if int(mask.sum()) == 0:
         return IcpResult(pose, math.inf, iterations, False, 0.0)

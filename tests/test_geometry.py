@@ -109,6 +109,16 @@ def test_cloud_is_immutable_and_copies_input():
         cloud.points[0, 0] = 5.0
 
 
+def test_cloud_kdtree_is_built_once_and_finds_nearest_points():
+    pts = np.random.default_rng(3).uniform(-5.0, 5.0, (50, 2))
+    cloud = PointCloud2(pts)
+    assert cloud.kdtree is cloud.kdtree
+    queries = np.random.default_rng(4).uniform(-5.0, 5.0, (20, 2))
+    _, idx = cloud.kdtree.query(queries)
+    brute = np.argmin(np.linalg.norm(queries[:, None, :] - pts[None, :, :], axis=2), axis=1)
+    assert np.array_equal(idx, brute)
+
+
 def test_cloud_equality_includes_frame():
     pts = [[0.0, 0.0], [1.0, 1.0]]
     assert PointCloud2(pts, frame_id="a") == PointCloud2(pts, frame_id="a")
