@@ -1,10 +1,10 @@
 """Command-line front end for the mapping pipeline.
 
-Stages share one output directory: generate and simulate write world and
-sensor files into it, match/align/evaluate read their inputs back from it.
-Every stage re-resolves configuration the same way (flags beat config file
-beats defaults), and a config.json written alongside the artifacts lets
-later stages run with the exact settings of earlier ones.
+Each command parses its flags, resolves the run configuration (flags beat
+config file beats defaults), makes one pipeline call and prints a summary
+line. What a stage reads and writes in the shared artifact directory is
+the pipeline module's business; the settings file that generate leaves
+there lets later commands run with the exact settings of earlier ones.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 pipeline failure.
 """
@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import io_formats, pipeline
+from . import pipeline
 from .config import RunConfig, build_config
 from .scenarios import scenario_names
 
@@ -79,37 +79,20 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     config_path = args.config
     if config_path is None:
         # Reuse the settings an earlier stage dropped next to its artifacts.
-        candidate = _out_dir_from(args) / "config.json"
+        candidate = (args.out or Path(RunConfig().out_dir)) / pipeline.CONFIG_FILE
         if candidate.is_file():
             config_path = candidate
     return build_config(config_path=config_path, flag_overrides=flag_overrides)
 
 
-def _persistable(cfg: RunConfig) -> dict:
-    return {k: v for k, v in cfg.to_dict().items() if k != "out_dir"}
-
-
-def _out_dir_from(args: argparse.Namespace) -> Path:
-    if args.out is not None:
-        return args.out
-    return Path(RunConfig().out_dir)
-
-
 def _cmd_generate(cfg: RunConfig, out_dir: Path) -> None:
-    plan, _ = pipeline.stage_generate(cfg)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    io_formats.save_json(out_dir / "config.json", _persistable(cfg))
-    io_formats.save_floorplan(out_dir / "floorplan.json", plan)
-    print(f"wrote floorplan.json ({len(plan.signs)} signs, {len(plan.aps)} APs) to {out_dir}")
+    plan = pipeline.run_generate(cfg, out_dir).plan
+    contents = f"{len(plan.signs)} signs, {len(plan.aps)} APs"
+    print(f"wrote {pipeline.FLOORPLAN_FILE} ({contents}) to {out_dir}")
 
 
 def _cmd_simulate(cfg: RunConfig, out_dir: Path) -> None:
-    plan, scripts = pipeline.stage_generate(cfg)
-    recordings = pipeline.stage_simulate(plan, scripts)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    io_formats.save_json(out_dir / "config.json", _persistable(cfg))
-    io_formats.save_floorplan(out_dir / "floorplan.json", plan)
-    io_formats.save_recordings(out_dir, recordings)
+    recordings = pipeline.run_simulate(cfg, out_dir).recordings
     events = sum(
         len(r.odometry) + len(r.scans) + len(r.texts) + len(r.wifi) + len(r.truth)
         for r in recordings.values()
@@ -118,61 +101,25 @@ def _cmd_simulate(cfg: RunConfig, out_dir: Path) -> None:
 
 
 def _cmd_match(cfg: RunConfig, out_dir: Path) -> None:
-    recordings = io_formats.load_recordings(out_dir)
-    keyframes, candidates, verified = pipeline.stage_match(recordings, cfg)
-    io_formats.save_match_report(
-        out_dir / "match_report.json",
-        candidates,
-        verified,
-        {
-            "alpha": cfg.alpha,
-            "beta": cfg.beta,
-            "gamma": cfg.gamma,
-            "min_loop_separation_s": cfg.min_loop_separation_s,
-            "sigma_scale_db": cfg.sigma_scale_db,
-        },
-    )
-    accepted = sum(1 for c in candidates if c.verdict.value == "accepted")
+    result = pipeline.run_match(cfg, out_dir)
+    accepted = sum(1 for c in result.candidates if c.verdict.value == "accepted")
     print(
-        f"{len(keyframes)} keyframes, {len(candidates)} candidates, "
-        f"{accepted} accepted, {len(verified)} verified locations"
+        f"{len(result.keyframes)} keyframes, {len(result.candidates)} candidates, "
+        f"{accepted} accepted, {len(result.verified)} verified locations"
     )
 
 
 def _cmd_align(cfg: RunConfig, out_dir: Path) -> None:
-    recordings = io_formats.load_recordings(out_dir)
-    candidates, _, _ = io_formats.load_match_report(out_dir / "match_report.json")
-    keyframes = pipeline.extract_all_keyframes(recordings, cfg)
-    graph, initial, optimized, stats = pipeline.stage_align(keyframes, candidates, cfg)
-    summary = pipeline.graph_summary_dict(graph, stats)
-    io_formats.save_trajectories(out_dir / "trajectories.json", initial, optimized, summary)
-    merged = pipeline.merge_maps(optimized, keyframes, voxel_size_m=cfg.voxel_size_m)
-    io_formats.save_merged_map(out_dir / "merged_map.json", merged)
+    result = pipeline.run_align(cfg, out_dir)
+    graph = result.graph
     print(
         f"{len(graph.nodes)} nodes, {len(graph.loop_edges)} loop edges "
-        f"({graph.dropped_loop_count} dropped), merged map {len(merged)} points"
+        f"({graph.dropped_loop_count} dropped), merged map {len(result.merged)} points"
     )
 
 
 def _cmd_evaluate(cfg: RunConfig, out_dir: Path) -> None:
-    plan = io_formats.load_floorplan(out_dir / "floorplan.json")
-    recordings = io_formats.load_recordings(out_dir)
-    candidates, verified, _ = io_formats.load_match_report(out_dir / "match_report.json")
-    keyframes = pipeline.extract_all_keyframes(recordings, cfg)
-    result = pipeline.PipelineResult(
-        config=cfg,
-        plan=plan,
-        recordings=recordings,
-        keyframes=keyframes,
-        candidates=candidates,
-        verified=verified,
-    )
-    result.initial, result.optimized, result.graph_summary = io_formats.load_trajectories(
-        out_dir / "trajectories.json"
-    )
-    result.metrics = pipeline.stage_evaluate(result)
-    io_formats.save_json(out_dir / "metrics.json", result.metrics)
-    pr = result.metrics["precision_recall"]
+    pr = pipeline.run_evaluate(cfg, out_dir).metrics["precision_recall"]
     print(
         "precision/recall: "
         + ", ".join(

@@ -14,7 +14,14 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .geometry import Pose2
-from .place_recognition import Keyframe, MatchCandidate, NodeKey, Thresholds
+from .place_recognition import (
+    Keyframe,
+    MatchCandidate,
+    NodeKey,
+    Thresholds,
+    Verdict,
+    wifi_verdict,
+)
 from .simulate import Recording
 
 
@@ -83,10 +90,7 @@ def score_candidates(
         b = keyframes_by_key[cand.b]
         truth = _pair_is_true(a, b)
         text_ok = cand.text_score >= thresholds.alpha
-        wifi_ok = (
-            cand.wifi_score.mac_similarity >= thresholds.beta
-            and cand.wifi_score.rss_similarity >= thresholds.gamma
-        )
+        wifi_ok = wifi_verdict(cand.wifi_score, thresholds) is Verdict.ACCEPTED
         rows.append((text_ok, wifi_ok, text_ok and wifi_ok, truth))
     return ScoreReport(
         text_only=_metrics((r[0], r[3]) for r in rows),
@@ -107,17 +111,19 @@ class SweepRow:
     fused: PrMetrics
 
 
+# The threshold sweep's grid: each alpha against each (beta, gamma) pair.
+SWEEP_ALPHAS = (0.5, 0.8, 1.0)
+SWEEP_BETA_GAMMAS = ((0.5, 0.5), (0.8, 0.8), (0.9, 0.9))
+
+
 def threshold_sweep(
     candidates: Sequence[MatchCandidate],
     keyframes_by_key: Mapping[NodeKey, Keyframe],
-    *,
-    alphas: Sequence[float] = (0.5, 0.8, 1.0),
-    beta_gammas: Sequence[tuple[float, float]] = ((0.5, 0.5), (0.8, 0.8), (0.9, 0.9)),
 ) -> list[SweepRow]:
-    """Re-score the same candidates across a grid of gate thresholds."""
+    """Re-score the same candidates across the SWEEP_* grid of gate thresholds."""
     rows = []
-    for alpha in alphas:
-        for beta, gamma in beta_gammas:
+    for alpha in SWEEP_ALPHAS:
+        for beta, gamma in SWEEP_BETA_GAMMAS:
             th = Thresholds(alpha=alpha, beta=beta, gamma=gamma)
             report = score_candidates(candidates, keyframes_by_key, th)
             rows.append(SweepRow(alpha, beta, gamma, report.text_only, report.wifi_only, report.fused))

@@ -1,9 +1,11 @@
 """End-to-end stages: generate, simulate, match, align, evaluate.
 
-Each stage is a plain function over in-memory objects; the CLI wraps them
-with file IO. run_all chains everything and optionally writes the artifact
-set into one output directory. All stages are deterministic given the run
-config, which is what makes golden-file testing of the CLI possible.
+Each stage_* function is a plain computation over in-memory objects. This
+module also owns the artifact directory: file names, one writer per stage,
+and readers for what align and evaluate take back. run_all chains every
+stage and may write all artifacts; run_generate ... run_evaluate (the CLI
+commands) each run one stage against a directory through the same writers.
+Every stage is deterministic given the run config.
 """
 
 from __future__ import annotations
@@ -47,12 +49,20 @@ from .world import FloorPlan
 
 log = logging.getLogger(__name__)
 
+# The artifact files besides the recordings, whose names io_formats owns.
+CONFIG_FILE = "config.json"
+FLOORPLAN_FILE = "floorplan.json"
+MATCH_REPORT_FILE = "match_report.json"
+TRAJECTORIES_FILE = "trajectories.json"
+MERGED_MAP_FILE = "merged_map.json"
+METRICS_FILE = "metrics.json"
+
 
 @dataclass
 class PipelineResult:
     config: RunConfig
-    plan: FloorPlan
-    recordings: dict[str, Recording]
+    plan: Optional[FloorPlan] = None
+    recordings: dict[str, Recording] = field(default_factory=dict)
     keyframes: list[Keyframe] = field(default_factory=list)
     candidates: list[MatchCandidate] = field(default_factory=list)
     verified: list[list[NodeKey]] = field(default_factory=list)
@@ -80,10 +90,7 @@ def stage_generate(cfg: RunConfig) -> tuple[FloorPlan, list[AgentScript]]:
 
 
 def stage_simulate(plan: FloorPlan, scripts: list[AgentScript]) -> dict[str, Recording]:
-    recordings = {}
-    for script in scripts:
-        recordings[script.agent_id] = simulate_recording(plan, script)
-    return recordings
+    return {script.agent_id: simulate_recording(plan, script) for script in scripts}
 
 
 def extract_all_keyframes(
@@ -115,48 +122,45 @@ def stage_match(
         sigma_scale_db=cfg.sigma_scale_db,
         evaluate_all_gates=True,
     )
-    verified = verified_locations(candidates)
-    return keyframes, candidates, verified
+    return keyframes, candidates, verified_locations(candidates)
 
 
-def stage_align(
-    keyframes: list[Keyframe],
-    candidates: list[MatchCandidate],
-    cfg: RunConfig,
-) -> tuple[PoseGraph, dict[NodeKey, Pose2], dict[NodeKey, Pose2], OptimizeStats]:
-    by_key = {kf.key: kf for kf in keyframes}
-    accepted = [c for c in candidates if c.verdict is Verdict.ACCEPTED]
+def stage_align(result: PipelineResult) -> None:
+    """Register accepted matches, optimize the pose graph, merge the map.
+
+    Fills graph, initial, optimized, stats, graph_summary and merged.
+    """
+    cfg = result.config
+    by_key = result.keyframes_by_key
+    accepted = [c for c in result.candidates if c.verdict is Verdict.ACCEPTED]
     loop_results: list[tuple[MatchCandidate, IcpResult]] = []
     for cand in accepted:
-        result = register_keyframe_pair(
+        icp = register_keyframe_pair(
             by_key[cand.a],
             by_key[cand.b],
             max_iterations=cfg.icp_max_iterations,
             correspondence_radius_m=cfg.icp_correspondence_radius_m,
             tolerance=cfg.icp_tolerance,
         )
-        loop_results.append((cand, result))
-    graph = build_pose_graph(keyframes, loop_results)
+        loop_results.append((cand, icp))
+    graph = build_pose_graph(result.keyframes, loop_results)
     if not graph.loop_edges:
         log.warning("no usable loop closures; agents stay in their own odometry frames")
-    initial = dict(graph.nodes)
-    optimized, stats = optimize_pose_graph(
+    result.graph, result.initial = graph, dict(graph.nodes)
+    result.optimized, result.stats = optimize_pose_graph(
         graph,
         max_outer_iterations=cfg.optimizer_max_iterations,
         robust_kernel_scale=cfg.robust_kernel_scale,
         return_stats=True,
     )
-    return graph, initial, optimized, stats
-
-
-def graph_summary_dict(graph: PoseGraph, stats: OptimizeStats) -> dict:
-    """The graph diagnostics that survive a round-trip through files."""
-    return {
+    # The graph diagnostics that survive a round-trip through files.
+    result.graph_summary = {
         "loop_edge_count": len(graph.loop_edges),
         "dropped_loop_count": graph.dropped_loop_count,
-        "objective_initial": stats.initial_objective,
-        "objective_final": stats.final_objective,
+        "objective_initial": result.stats.initial_objective,
+        "objective_final": result.stats.final_objective,
     }
+    result.merged = merge_maps(result.optimized, result.keyframes, voxel_size_m=cfg.voxel_size_m)
 
 
 def _metrics_from_pr(report: ScoreReport) -> dict:
@@ -218,20 +222,16 @@ def stage_evaluate(result: PipelineResult) -> dict:
         "keyframe_count": len(result.keyframes),
         "loop_edge_count": 0,
         "dropped_loop_count": 0,
+        **result.graph_summary,
     }
-    trajectory.update(result.graph_summary)
 
     labels = _find_anchor_labels(result.plan)
     if labels and result.optimized:
         anchors = dict(result.plan.named_anchors)
         try:
-            baseline = end_point_error(
-                anchors, labels[0], labels[1], result.keyframes, result.recordings,
-                result.initial,
-            )
-            optimized = end_point_error(
-                anchors, labels[0], labels[1], result.keyframes, result.recordings,
-                result.optimized,
+            baseline, optimized = (
+                end_point_error(anchors, *labels, result.keyframes, result.recordings, poses)
+                for poses in (result.initial, result.optimized)
             )
         except ValueError as exc:
             log.warning("end-point error unavailable: %s", exc)
@@ -256,58 +256,105 @@ def stage_evaluate(result: PipelineResult) -> dict:
 def run_all(cfg: RunConfig, *, out_dir: Optional[Path] = None) -> PipelineResult:
     """Run every stage; write the artifact set when out_dir is given."""
     plan, scripts = stage_generate(cfg)
-    recordings = stage_simulate(plan, scripts)
-    result = PipelineResult(config=cfg, plan=plan, recordings=recordings)
-    result.keyframes, result.candidates, result.verified = stage_match(recordings, cfg)
-    result.graph, result.initial, result.optimized, result.stats = stage_align(
-        result.keyframes, result.candidates, cfg
-    )
-    result.graph_summary = graph_summary_dict(result.graph, result.stats)
-    result.merged = merge_maps(
-        result.optimized, result.keyframes, voxel_size_m=cfg.voxel_size_m
-    )
+    result = PipelineResult(config=cfg, plan=plan, recordings=stage_simulate(plan, scripts))
+    result.keyframes, result.candidates, result.verified = stage_match(result.recordings, cfg)
+    stage_align(result)
     result.metrics = stage_evaluate(result)
     if out_dir is not None:
         write_artifacts(result, out_dir)
     return result
 
 
-def write_artifacts(result: PipelineResult, out_dir: Path) -> dict[str, Path]:
-    out_dir = Path(out_dir)
+def _write_generate(result: PipelineResult, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    cfg = result.config
-    paths: dict[str, Path] = {}
-
-    paths["config"] = out_dir / "config.json"
     # out_dir is where the file already lives; writing it would make
     # otherwise identical runs differ byte-wise.
-    io_formats.save_json(
-        paths["config"], {k: v for k, v in cfg.to_dict().items() if k != "out_dir"}
-    )
-    paths["floorplan"] = out_dir / "floorplan.json"
-    io_formats.save_floorplan(paths["floorplan"], result.plan)
-    for p in io_formats.save_recordings(out_dir, result.recordings):
-        paths[p.stem] = p
-    paths["match_report"] = out_dir / "match_report.json"
+    settings = {k: v for k, v in result.config.to_dict().items() if k != "out_dir"}
+    io_formats.save_json(out_dir / CONFIG_FILE, settings)
+    io_formats.save_floorplan(out_dir / FLOORPLAN_FILE, result.plan)
+
+
+def _write_simulate(result: PipelineResult, out_dir: Path) -> None:
+    io_formats.save_recordings(out_dir, result.recordings)
+
+
+def _write_match(result: PipelineResult, out_dir: Path) -> None:
+    keys = ("alpha", "beta", "gamma", "min_loop_separation_s", "sigma_scale_db")
+    settings = {key: getattr(result.config, key) for key in keys}
     io_formats.save_match_report(
-        paths["match_report"],
-        result.candidates,
-        result.verified,
-        {
-            "alpha": cfg.alpha,
-            "beta": cfg.beta,
-            "gamma": cfg.gamma,
-            "min_loop_separation_s": cfg.min_loop_separation_s,
-            "sigma_scale_db": cfg.sigma_scale_db,
-        },
+        out_dir / MATCH_REPORT_FILE, result.candidates, result.verified, settings
     )
-    paths["trajectories"] = out_dir / "trajectories.json"
+
+
+def _write_align(result: PipelineResult, out_dir: Path) -> None:
     io_formats.save_trajectories(
-        paths["trajectories"], result.initial, result.optimized, result.graph_summary
+        out_dir / TRAJECTORIES_FILE, result.initial, result.optimized, result.graph_summary
     )
-    if result.merged is not None:
-        paths["merged_map"] = out_dir / "merged_map.json"
-        io_formats.save_merged_map(paths["merged_map"], result.merged)
-    paths["metrics"] = out_dir / "metrics.json"
-    io_formats.save_json(paths["metrics"], result.metrics)
-    return paths
+    io_formats.save_merged_map(out_dir / MERGED_MAP_FILE, result.merged)
+
+
+def _write_evaluate(result: PipelineResult, out_dir: Path) -> None:
+    io_formats.save_json(out_dir / METRICS_FILE, result.metrics)
+
+
+def write_artifacts(result: PipelineResult, out_dir: Path) -> None:
+    """Write every stage's artifacts, in stage order."""
+    out_dir = Path(out_dir)
+    _write_generate(result, out_dir)
+    _write_simulate(result, out_dir)
+    _write_match(result, out_dir)
+    _write_align(result, out_dir)
+    _write_evaluate(result, out_dir)
+
+
+def _read_align_inputs(cfg: RunConfig, out_dir: Path) -> PipelineResult:
+    result = PipelineResult(config=cfg, recordings=io_formats.load_recordings(out_dir))
+    report = out_dir / MATCH_REPORT_FILE
+    result.candidates, result.verified, _ = io_formats.load_match_report(report)
+    result.keyframes = extract_all_keyframes(result.recordings, cfg)
+    return result
+
+
+def _read_evaluate_inputs(cfg: RunConfig, out_dir: Path) -> PipelineResult:
+    result = _read_align_inputs(cfg, out_dir)
+    result.plan = io_formats.load_floorplan(out_dir / FLOORPLAN_FILE)
+    result.initial, result.optimized, result.graph_summary = io_formats.load_trajectories(
+        out_dir / TRAJECTORIES_FILE
+    )
+    return result
+
+
+def run_generate(cfg: RunConfig, out_dir: Path) -> PipelineResult:
+    result = PipelineResult(config=cfg, plan=stage_generate(cfg)[0])
+    _write_generate(result, out_dir)
+    return result
+
+
+def run_simulate(cfg: RunConfig, out_dir: Path) -> PipelineResult:
+    """Regenerates and rewrites the world too: simulate may run without generate."""
+    plan, scripts = stage_generate(cfg)
+    result = PipelineResult(config=cfg, plan=plan, recordings=stage_simulate(plan, scripts))
+    _write_generate(result, out_dir)
+    _write_simulate(result, out_dir)
+    return result
+
+
+def run_match(cfg: RunConfig, out_dir: Path) -> PipelineResult:
+    result = PipelineResult(config=cfg, recordings=io_formats.load_recordings(out_dir))
+    result.keyframes, result.candidates, result.verified = stage_match(result.recordings, cfg)
+    _write_match(result, out_dir)
+    return result
+
+
+def run_align(cfg: RunConfig, out_dir: Path) -> PipelineResult:
+    result = _read_align_inputs(cfg, out_dir)
+    stage_align(result)
+    _write_align(result, out_dir)
+    return result
+
+
+def run_evaluate(cfg: RunConfig, out_dir: Path) -> PipelineResult:
+    result = _read_evaluate_inputs(cfg, out_dir)
+    result.metrics = stage_evaluate(result)
+    _write_evaluate(result, out_dir)
+    return result

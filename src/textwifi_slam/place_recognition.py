@@ -13,7 +13,7 @@ import enum
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .geometry import Pose2, PointCloud2
 from .simulate import Recording, integrate_odometry
@@ -58,6 +58,20 @@ class Thresholds:
             raise ValueError("min_loop_separation_s must be non-negative")
 
 
+def wifi_verdict(score: WifiMatchScore, thresholds: Thresholds) -> Verdict:
+    """The WiFi half of the cascade: the MAC gate, then the RSS gate.
+
+    A pair that shares no access point has no RSS distance (inf) and fails
+    the MAC gate whatever beta is. Matching and evaluation both decide by
+    this rule, so a scored acceptance is always an operational one.
+    """
+    if score.mac_similarity < thresholds.beta or math.isinf(score.rss_distance_db):
+        return Verdict.REJECTED_MAC
+    if score.rss_similarity < thresholds.gamma:
+        return Verdict.REJECTED_RSS
+    return Verdict.ACCEPTED
+
+
 @dataclass(frozen=True)
 class Keyframe:
     """A sign sighting with everything needed to match and register it.
@@ -100,7 +114,6 @@ def extract_keyframes(
     recording: Recording,
     *,
     fingerprint_window_s: float = DEFAULT_FINGERPRINT_WINDOW_S,
-    corrected_std: bool = False,
 ) -> list[Keyframe]:
     """One keyframe per text observation in the recording.
 
@@ -145,11 +158,7 @@ def extract_keyframes(
             w for w in recording.wifi if abs(w.timestamp - anchor_t) <= half + 1e-9
         ]
         if window:
-            fingerprint = build_fingerprint(
-                window,
-                location_id=f"{recording.agent_id}:{kf_id}",
-                corrected_std=corrected_std,
-            )
+            fingerprint = build_fingerprint(window, location_id=f"{recording.agent_id}:{kf_id}")
         else:
             fingerprint = WifiFingerprint(f"{recording.agent_id}:{kf_id}", {})
         keyframes.append(
@@ -213,7 +222,7 @@ def decide_match(
     if not text_ok and not evaluate_all_gates:
         return MatchCandidate(a.key, b.key, text_score, _SKIPPED_WIFI, Verdict.REJECTED_TEXT)
 
-    wifi_ok, wifi_score = is_wifi_match(
+    _, wifi_score = is_wifi_match(
         a.fingerprint,
         b.fingerprint,
         thresholds.beta,
@@ -221,14 +230,7 @@ def decide_match(
         sigma_scale_db=sigma_scale_db,
         short_circuit=not evaluate_all_gates,
     )
-    if not text_ok:
-        verdict = Verdict.REJECTED_TEXT
-    elif wifi_score.mac_similarity < thresholds.beta or math.isinf(wifi_score.rss_distance_db):
-        verdict = Verdict.REJECTED_MAC
-    elif not wifi_ok:
-        verdict = Verdict.REJECTED_RSS
-    else:
-        verdict = Verdict.ACCEPTED
+    verdict = wifi_verdict(wifi_score, thresholds) if text_ok else Verdict.REJECTED_TEXT
     return MatchCandidate(a.key, b.key, text_score, wifi_score, verdict)
 
 
@@ -250,32 +252,37 @@ def match_all(
     ]
 
 
-def verified_locations(candidates: Sequence[MatchCandidate]) -> list[list[NodeKey]]:
-    """Connected components of the accepted-match graph.
+def connected_components(
+    nodes: Iterable[NodeKey], edges: Iterable[tuple[NodeKey, NodeKey]]
+) -> list[list[NodeKey]]:
+    """Groups of nodes joined by edges; members and groups are sorted.
 
-    Each component groups keyframes the matcher believes show one physical
-    place. Singletons are omitted; components and members are sorted.
+    Every node lands in exactly one group, so isolated nodes are singletons.
     """
-    parent: dict[NodeKey, NodeKey] = {}
+    parent = {key: key for key in nodes}
 
     def find(k: NodeKey) -> NodeKey:
-        root = k
-        while parent[root] != root:
-            root = parent[root]
-        while parent[k] != root:
-            parent[k], k = root, parent[k]
-        return root
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
 
-    for cand in candidates:
-        if cand.verdict is not Verdict.ACCEPTED:
-            continue
-        for key in (cand.a, cand.b):
-            parent.setdefault(key, key)
-        ra, rb = find(cand.a), find(cand.b)
+    for a, b in edges:
+        ra, rb = find(a), find(b)
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
-
     groups: dict[NodeKey, list[NodeKey]] = {}
     for key in parent:
         groups.setdefault(find(key), []).append(key)
     return sorted(sorted(members) for members in groups.values())
+
+
+def verified_locations(candidates: Sequence[MatchCandidate]) -> list[list[NodeKey]]:
+    """Connected components of the accepted-match graph.
+
+    Each component groups keyframes the matcher believes show one physical
+    place. Only keyframes of accepted pairs take part, so there are no
+    singletons; components and members are sorted.
+    """
+    edges = [(c.a, c.b) for c in candidates if c.verdict is Verdict.ACCEPTED]
+    return connected_components({key for edge in edges for key in edge}, edges)

@@ -24,12 +24,12 @@ from .icp import (
     icp_register,
     icp_register_multistart,
 )
-from .place_recognition import Keyframe, MatchCandidate, NodeKey
+from .place_recognition import Keyframe, MatchCandidate, NodeKey, connected_components
 
 log = logging.getLogger(__name__)
 
-DEFAULT_ODOMETRY_WEIGHT = 1.0
-DEFAULT_WEIGHT_FLOOR = 1e-6
+ODOMETRY_WEIGHT = 1.0
+LOOP_WEIGHT_FLOOR = 1e-6
 DEFAULT_MAX_OUTER_ITERATIONS = 50
 DEFAULT_ROBUST_KERNEL_SCALE = 1.0
 
@@ -109,9 +109,6 @@ def register_keyframe_pair(a: Keyframe, b: Keyframe, **icp_kwargs) -> IcpResult:
 def build_pose_graph(
     keyframes: Sequence[Keyframe],
     loop_results: Sequence[tuple[MatchCandidate, IcpResult]],
-    *,
-    odometry_weight: float = DEFAULT_ODOMETRY_WEIGHT,
-    weight_floor: float = DEFAULT_WEIGHT_FLOOR,
 ) -> PoseGraph:
     """Assemble nodes and edges from keyframes and registered matches.
 
@@ -133,7 +130,7 @@ def build_pose_graph(
                     prev.key,
                     cur.key,
                     relative_pose(prev.odom_pose, cur.odom_pose),
-                    odometry_weight,
+                    ODOMETRY_WEIGHT,
                     "odometry",
                 )
             )
@@ -145,30 +142,11 @@ def build_pose_graph(
                 "dropping loop %s-%s: registration did not converge", candidate.a, candidate.b
             )
             continue
-        weight = 1.0 / max(result.mean_sq_error, weight_floor)
+        weight = 1.0 / max(result.mean_sq_error, LOOP_WEIGHT_FLOOR)
         graph.loop_edges.append(
             PoseGraphEdge(candidate.a, candidate.b, result.transform, weight, "loop")
         )
     return graph
-
-
-def _connected_components(graph: PoseGraph) -> list[list[NodeKey]]:
-    parent = {key: key for key in graph.nodes}
-
-    def find(k: NodeKey) -> NodeKey:
-        while parent[k] != k:
-            parent[k] = parent[parent[k]]
-            k = parent[k]
-        return k
-
-    for edge in graph.edges:
-        ra, rb = find(edge.a), find(edge.b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    groups: dict[NodeKey, list[NodeKey]] = {}
-    for key in graph.nodes:
-        groups.setdefault(find(key), []).append(key)
-    return sorted(sorted(m) for m in groups.values())
 
 
 def _wrap_angles(values: np.ndarray) -> np.ndarray:
@@ -363,7 +341,7 @@ def optimize_pose_graph(
         if edge.weight <= 0.0:
             raise ValueError("edge weights must be positive")
 
-    components = _connected_components(graph)
+    components = connected_components(graph.nodes, ((e.a, e.b) for e in graph.edges))
     if len(components) > 1:
         log.warning("pose graph has %d disconnected components", len(components))
     result: dict[NodeKey, Pose2] = {}

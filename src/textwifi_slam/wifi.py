@@ -132,7 +132,6 @@ def build_fingerprint(
     *,
     location_id: Optional[str] = None,
     window_s: Optional[float] = None,
-    corrected_std: bool = False,
 ) -> WifiFingerprint:
     """Aggregate the scans around one location into a fingerprint.
 
@@ -154,10 +153,7 @@ def build_fingerprint(
     for scan in scans:
         for mac, rss in scan.readings:
             samples.setdefault(mac, []).append(rss)
-    entries = {
-        mac: filter_and_average(values, corrected_std=corrected_std)
-        for mac, values in sorted(samples.items())
-    }
+    entries = {mac: filter_and_average(values) for mac, values in sorted(samples.items())}
     if location_id is None:
         location_id = f"{scans[0].agent_id}@{scans[0].timestamp:.3f}"
     if not entries:

@@ -87,6 +87,23 @@ def test_staged_run_matches_run_all_byte_for_byte(tmp_path):
         assert (staged / name).read_bytes() == (oneshot / name).read_bytes(), name
 
 
+def test_each_stage_adds_exactly_its_own_files(tmp_path):
+    out = tmp_path / "o"
+    promised = {
+        "generate": ["config.json", "floorplan.json"],
+        "simulate": ["recording_a0.jsonl", "recording_a1.jsonl", "recording_a2.jsonl"],
+        "match": ["match_report.json"],
+        "align": ["merged_map.json", "trajectories.json"],
+        "evaluate": ["metrics.json"],
+    }
+    expected: list[str] = []
+    for stage, files in promised.items():
+        assert main([stage, "--out", str(out), "--seed", "1"]) == 0, stage
+        expected = sorted(expected + files)
+        assert sorted(p.name for p in out.iterdir()) == expected, stage
+    assert expected == ARTIFACTS
+
+
 def test_run_all_reports_the_headline_numbers(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["run-all", "--out", str(out), "--seed", "1", "--sweep"]) == 0

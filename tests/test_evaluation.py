@@ -12,7 +12,7 @@ from textwifi_slam.evaluation import (
     travel_distance_m,
 )
 from textwifi_slam.geometry import Pose2
-from textwifi_slam.place_recognition import MatchCandidate, Thresholds, Verdict
+from textwifi_slam.place_recognition import MatchCandidate, Thresholds, Verdict, decide_match
 from textwifi_slam.simulate import Recording, TruthSample
 from textwifi_slam.wifi import WifiMatchScore
 
@@ -70,6 +70,21 @@ def test_per_modality_confusion_counts(scored_world):
     assert report.fused == PrMetrics(1, 0, 1)
     assert report.fused.precision == 1.0
     assert report.text_only.precision == 0.5
+
+
+def test_scoring_follows_the_verdict_when_no_access_point_is_shared():
+    # With beta = gamma = 0 a pair whose fingerprints share no MAC still has
+    # no RSS distance; the matcher rejects it, and scoring must agree.
+    a = make_keyframe("a0", 0, 0.0, rss={"ap00": -50.0})
+    b = make_keyframe("a1", 0, 0.0, rss={"ap01": -50.0})
+    thresholds = Thresholds(alpha=0.8, beta=0.0, gamma=0.0)
+    candidate = decide_match(a, b, thresholds, evaluate_all_gates=True)
+    assert candidate.verdict is Verdict.REJECTED_MAC
+
+    report = score_candidates([candidate], {a.key: a, b.key: b}, thresholds)
+    assert report.text_only == PrMetrics(1, 0, 0)
+    assert report.wifi_only == PrMetrics(0, 0, 1)
+    assert report.fused == PrMetrics(0, 0, 1)
 
 
 def test_scoring_demands_ground_truth(scored_world):
