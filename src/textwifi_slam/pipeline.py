@@ -5,7 +5,9 @@ module also owns the artifact directory: file names, one writer per stage,
 and readers for what align and evaluate take back. run_all chains every
 stage and may write all artifacts; run_generate ... run_evaluate (the CLI
 commands) each run one stage against a directory through the same writers.
-Every stage is deterministic given the run config.
+Every stage is deterministic given the run config. Align registers its
+accepted matches in forked worker processes, one per usable CPU, and joins
+them before it returns; results do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .evaluation import (
     travel_distance_m,
 )
 from .geometry import PointCloud2, Pose2
-from .icp import IcpResult
 from .place_recognition import (
     Keyframe,
     MatchCandidate,
@@ -41,7 +42,7 @@ from .pose_graph import (
     build_pose_graph,
     merge_maps,
     optimize_pose_graph,
-    register_keyframe_pair,
+    register_keyframe_pairs,
 )
 from .scenarios import scripted_scenario
 from .simulate import AgentScript, Recording, simulate_recording
@@ -128,22 +129,20 @@ def stage_match(
 def stage_align(result: PipelineResult) -> None:
     """Register accepted matches, optimize the pose graph, merge the map.
 
-    Fills graph, initial, optimized, stats, graph_summary and merged.
+    The registrations run on every usable CPU (register_keyframe_pairs),
+    whose worker processes have exited when this returns. Fills graph,
+    initial, optimized, stats, graph_summary and merged.
     """
     cfg = result.config
     by_key = result.keyframes_by_key
     accepted = [c for c in result.candidates if c.verdict is Verdict.ACCEPTED]
-    loop_results: list[tuple[MatchCandidate, IcpResult]] = []
-    for cand in accepted:
-        icp = register_keyframe_pair(
-            by_key[cand.a],
-            by_key[cand.b],
-            max_iterations=cfg.icp_max_iterations,
-            correspondence_radius_m=cfg.icp_correspondence_radius_m,
-            tolerance=cfg.icp_tolerance,
-        )
-        loop_results.append((cand, icp))
-    graph = build_pose_graph(result.keyframes, loop_results)
+    registrations = register_keyframe_pairs(
+        [(by_key[cand.a], by_key[cand.b]) for cand in accepted],
+        max_iterations=cfg.icp_max_iterations,
+        correspondence_radius_m=cfg.icp_correspondence_radius_m,
+        tolerance=cfg.icp_tolerance,
+    )
+    graph = build_pose_graph(result.keyframes, list(zip(accepted, registrations)))
     if not graph.loop_edges:
         log.warning("no usable loop closures; agents stay in their own odometry frames")
     result.graph, result.initial = graph, dict(graph.nodes)

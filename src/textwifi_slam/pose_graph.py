@@ -1,19 +1,26 @@
-"""Pose-graph construction, robust optimization, and map merging.
+"""Loop-closure registration, pose-graph construction, robust optimization,
+and map merging.
 
 Nodes are keyframes, odometry edges chain consecutive keyframes of one
 agent, and loop edges carry scan-registration results between matched
-keyframes. The optimizer is iteratively reweighted Gauss-Newton with a
-Huber kernel and Levenberg-style damping: a step is only taken when it
-lowers the robust objective, so the objective history is non-increasing by
-construction (and asserted).
+keyframes. Those registrations are independent of each other, so
+register_keyframe_pairs spreads them over one forked worker process per CPU
+the process may run on, and runs them in-process when it cannot. The
+optimizer is iteratively reweighted Gauss-Newton with a Huber kernel and
+Levenberg-style damping: a step is only taken when it lowers the robust
+objective, so the objective history is non-increasing by construction (and
+asserted).
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
+import os
+from concurrent import futures
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -37,6 +44,11 @@ DEFAULT_ROBUST_KERNEL_SCALE = 1.0
 # squared error is this fraction of the squared correspondence radius or
 # better. Correct same-place fits land orders of magnitude below it.
 SOLID_FIT_MSE_FRACTION = 0.05
+
+# Pairs handed out per worker request. A pair that falls back to the
+# four-heading sweep costs about five times one that does not, so small
+# chunks keep the workers evenly loaded until the last pair.
+REGISTRATION_CHUNK_PAIRS = 2
 
 
 @dataclass(frozen=True)
@@ -104,6 +116,60 @@ def register_keyframe_pair(a: Keyframe, b: Keyframe, **icp_kwargs) -> IcpResult:
     if (first.converged, -first.mean_sq_error) >= (rest.converged, -rest.mean_sq_error):
         return first
     return rest
+
+
+# The pairs (and ICP settings) of each register_keyframe_pairs call in
+# progress, by call. Forked workers inherit this at fork, so only pair indices
+# go to them and only IcpResults come back.
+_registrations_in_progress: dict[int, tuple[list[tuple[Keyframe, Keyframe]], dict]] = {}
+
+
+def _register_pair_at(call: int, index: int) -> IcpResult:
+    pairs, icp_kwargs = _registrations_in_progress[call]
+    a, b = pairs[index]
+    return register_keyframe_pair(a, b, **icp_kwargs)
+
+
+def _registration_pool(pair_count: int) -> Optional[futures.ProcessPoolExecutor]:
+    """A fork pool with one worker per CPU in the affinity mask, never more
+    than the pairs; None (register in-process) with fewer than two pairs,
+    one usable CPU, or no fork start method."""
+    if pair_count < 2 or not hasattr(os, "sched_getaffinity"):
+        return None
+    workers = min(len(os.sched_getaffinity(0)), pair_count)
+    # Imported here so that commands which never register pairs start
+    # without loading multiprocessing.
+    import multiprocessing
+
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    # Python 3.12+ warns when a threaded process forks; idle OpenBLAS threads may count.
+    return futures.ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+
+
+def register_keyframe_pairs(
+    pairs: Sequence[tuple[Keyframe, Keyframe]], **icp_kwargs
+) -> list[IcpResult]:
+    """register_keyframe_pair(a, b, **icp_kwargs) for every pair, in order.
+
+    With more than one pair and more than one usable CPU the pairs run in a
+    pool of forked worker processes, which is shut down (its workers joined)
+    before this returns. An exception from any pair is raised here.
+    """
+    pairs = list(pairs)
+    call = id(pairs)
+    _registrations_in_progress[call] = (pairs, icp_kwargs)
+    try:
+        register = functools.partial(_register_pair_at, call)
+        pool = _registration_pool(len(pairs))
+        if pool is None:
+            return list(map(register, range(len(pairs))))
+        with pool:
+            return list(
+                pool.map(register, range(len(pairs)), chunksize=REGISTRATION_CHUNK_PAIRS)
+            )
+    finally:
+        del _registrations_in_progress[call]
 
 
 def build_pose_graph(

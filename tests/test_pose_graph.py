@@ -1,10 +1,15 @@
 """Graph assembly, robust optimization, and merged-map construction."""
 
 import math
+import multiprocessing
+import os
+from concurrent import futures
 
 import numpy as np
 import pytest
 
+from textwifi_slam import pipeline
+from textwifi_slam.config import config_for_scenario
 from textwifi_slam.geometry import Pose2, compose, inverse, relative_pose, transform_points
 from textwifi_slam.icp import IcpResult
 from textwifi_slam.place_recognition import MatchCandidate, Verdict
@@ -17,6 +22,7 @@ from textwifi_slam.pose_graph import (
     merge_maps,
     optimize_pose_graph,
     register_keyframe_pair,
+    register_keyframe_pairs,
 )
 from textwifi_slam.wifi import WifiMatchScore
 from textwifi_slam.world import CorridorTemplate, generate_floorplan, raycast
@@ -285,6 +291,67 @@ class TestRegisterPair:
         assert math.hypot(out.transform.x, out.transform.y) < 0.05
         assert abs(abs(out.transform.theta) - math.pi) < 0.01
         assert out.mean_sq_error < 0.01
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs whatever the host has, so the pool path runs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+@pytest.fixture(scope="module")
+def scene01_accepted_pairs():
+    """Every accepted keyframe pair of scene01 seed 0, and the ICP settings."""
+    cfg = config_for_scenario("scene01", seed=0)
+    recordings = pipeline.stage_simulate(*pipeline.stage_generate(cfg))
+    keyframes, candidates, _ = pipeline.stage_match(recordings, cfg)
+    by_key = {kf.key: kf for kf in keyframes}
+    pairs = [(by_key[c.a], by_key[c.b]) for c in candidates if c.verdict is Verdict.ACCEPTED]
+    kwargs = dict(
+        max_iterations=cfg.icp_max_iterations,
+        correspondence_radius_m=cfg.icp_correspondence_radius_m,
+        tolerance=cfg.icp_tolerance,
+    )
+    return pairs, kwargs
+
+
+class TestRegisterPairs:
+    def test_pool_matches_the_in_process_loop(self, scene01_accepted_pairs, two_cpus):
+        pairs, kwargs = scene01_accepted_pairs
+        pooled = register_keyframe_pairs(pairs, **kwargs)
+        assert multiprocessing.active_children() == []
+        expected = [register_keyframe_pair(a, b, **kwargs) for a, b in pairs]
+        assert len(pooled) == len(expected)
+        for got, want in zip(pooled, expected):
+            assert got.transform == want.transform
+            assert got.mean_sq_error == want.mean_sq_error
+            assert got.iterations == want.iterations
+            assert got.converged == want.converged
+            assert got.inlier_fraction == want.inlier_fraction
+
+    @pytest.mark.parametrize("count, cpus", [(0, 2), (1, 2), (3, 1)])
+    def test_no_pool_for_few_pairs_or_one_cpu(self, count, cpus, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was created")
+
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        a = make_keyframe("a0", 0, 0.0)
+        b = make_keyframe("a1", 0, 1.0, pose=Pose2(0.1, -0.1, 0.05))
+        out = register_keyframe_pairs([(a, b)] * count, max_iterations=20)
+        assert out == [register_keyframe_pair(a, b, max_iterations=20)] * count
+
+    def test_a_failing_pair_raises_in_the_caller(self, two_cpus):
+        a = make_keyframe("a0", 0, 0.0)
+        b = make_keyframe("a1", 0, 1.0)
+        sparse = make_keyframe("a2", 0, 2.0, scan_points=np.array([[0.0, 0.0], [1.0, 0.0]]))
+        with pytest.raises(ValueError) as direct:
+            register_keyframe_pair(a, sparse)
+        with pytest.raises(ValueError) as pooled:
+            register_keyframe_pairs([(a, b), (a, sparse), (a, b)])
+        assert type(pooled.value) is type(direct.value)
+        assert pooled.value.args == direct.value.args
+        assert multiprocessing.active_children() == []
 
 
 class TestMergeMaps:
