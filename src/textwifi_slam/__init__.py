@@ -16,7 +16,7 @@ from .evaluation import (
     threshold_sweep,
 )
 from .geometry import PointCloud2, Pose2, compose, inverse, relative_pose, transform_cloud
-from .icp import IcpResult, icp_register, icp_register_multistart, svd_rigid_fit
+from .icp import IcpResult, icp_register, icp_register_multistart
 from .pipeline import PipelineResult, run_all
 from .place_recognition import (
     Keyframe,
@@ -39,7 +39,7 @@ from .pose_graph import (
 )
 from .scenarios import scenario_names, scripted_scenario
 from .simulate import AgentScript, NoiseModel, Recording, integrate_odometry, simulate_recording
-from .text_matching import TextObservation, corrupt_text, edit_distance, is_text_match, text_similarity
+from .text_matching import TextObservation, corrupt_text, edit_distance, text_similarity
 from .wifi import (
     AccessPoint,
     WifiFingerprint,
@@ -100,7 +100,6 @@ __all__ = [
     "icp_register_multistart",
     "integrate_odometry",
     "inverse",
-    "is_text_match",
     "is_wifi_match",
     "mac_similarity",
     "match_all",
@@ -117,7 +116,6 @@ __all__ = [
     "score_candidates",
     "scripted_scenario",
     "simulate_recording",
-    "svd_rigid_fit",
     "text_similarity",
     "threshold_sweep",
     "transform_cloud",

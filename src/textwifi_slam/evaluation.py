@@ -78,12 +78,7 @@ def score_candidates(
     keyframes_by_key: Mapping[NodeKey, Keyframe],
     thresholds: Thresholds,
 ) -> ScoreReport:
-    """Score scored candidates against simulator ground truth.
-
-    Candidates must carry full gate scores (produced with all gates
-    evaluated), otherwise the wifi-only column would be polluted by
-    short-circuited sentinel values.
-    """
+    """Score scored candidates against simulator ground truth."""
     rows: list[tuple[bool, bool, bool, bool]] = []
     for cand in candidates:
         a = keyframes_by_key[cand.a]

@@ -1,8 +1,8 @@
 """Rigid 2D scan registration.
 
-svd_rigid_fit solves the least-squares alignment of matched point pairs in
-closed form; icp_register wraps the same fit in the usual iterate-correspond
-loop with a nearest-neighbour search bounded by a correspondence radius.
+_rigid_fit solves the least-squares alignment of matched point pairs in
+closed form; icp_register wraps it in the usual iterate-correspond loop
+with a nearest-neighbour search bounded by a correspondence radius.
 The loop keeps its pose as plain floats and queries the target's cached
 KD-tree, so one iteration costs the query plus a handful of numpy calls.
 """
@@ -67,24 +67,6 @@ def _moved(points: np.ndarray, x: float, y: float, theta: float) -> np.ndarray:
     """transform_points for a pose held as three floats."""
     c, s = math.cos(theta), math.sin(theta)
     return points @ np.array([[c, s], [-s, c]]) + np.array([x, y])
-
-
-def svd_rigid_fit(source: np.ndarray, target: np.ndarray) -> Pose2:
-    """Least-squares rigid transform sending source points onto target points.
-
-    Kabsch in 2D, solved in closed form rather than by SVD (the name is kept
-    for compatibility): the rotation angle is atan2 of the antisymmetric and
-    symmetric parts of the centred cross-covariance, so the result is always
-    a proper rotation, never a reflection.
-    """
-    src = np.asarray(source, dtype=float)
-    tgt = np.asarray(target, dtype=float)
-    if src.shape != tgt.shape or src.ndim != 2 or src.shape[1] != 2:
-        raise ValueError("source and target must be matching (n, 2) arrays")
-    if src.shape[0] < 2:
-        raise ValueError("need at least two point pairs for a rigid fit")
-    theta, _, _, tx, ty = _rigid_fit(src, tgt)
-    return Pose2(tx, ty, theta)
 
 
 def icp_register(

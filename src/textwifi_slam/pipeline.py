@@ -112,17 +112,11 @@ def stage_match(
 ) -> tuple[list[Keyframe], list[MatchCandidate], list[list[NodeKey]]]:
     """Keyframe extraction plus the gate cascade over all candidate pairs.
 
-    Scores are computed for every gate even on rejected candidates so the
-    evaluation stage can re-threshold them; the verdicts themselves are
-    what the operational (short-circuiting) cascade would produce.
+    Every candidate carries the scores of every gate, so the evaluation
+    stage can re-threshold it.
     """
     keyframes = extract_all_keyframes(recordings, cfg)
-    candidates = match_all(
-        keyframes,
-        cfg.thresholds(),
-        sigma_scale_db=cfg.sigma_scale_db,
-        evaluate_all_gates=True,
-    )
+    candidates = match_all(keyframes, cfg.thresholds(), sigma_scale_db=cfg.sigma_scale_db)
     return keyframes, candidates, verified_locations(candidates)
 
 

@@ -96,18 +96,13 @@ class Keyframe:
 
 @dataclass(frozen=True)
 class MatchCandidate:
-    """A scored keyframe pair. wifi_score holds neutral placeholder values
-    (0 overlap, inf distance) when the text gate already failed and the WiFi
-    stage was skipped."""
+    """A keyframe pair with the scores of every gate and the verdict."""
 
     a: NodeKey
     b: NodeKey
     text_score: float
     wifi_score: WifiMatchScore
     verdict: Verdict
-
-
-_SKIPPED_WIFI = WifiMatchScore(0.0, math.inf, 0.0)
 
 
 def extract_keyframes(
@@ -206,29 +201,23 @@ def decide_match(
     thresholds: Thresholds,
     *,
     sigma_scale_db: float = DEFAULT_SIGMA_SCALE_DB,
-    evaluate_all_gates: bool = False,
 ) -> MatchCandidate:
     """Run the gate cascade on one candidate pair.
 
-    Operationally the WiFi stage is skipped when the text gate fails; the
-    evaluation harness passes evaluate_all_gates=True so every candidate
-    carries full scores for threshold sweeps. The verdict is the same either
-    way: the first failing gate names the rejection.
+    Every gate is scored, also on pairs the text gate rejects, so the
+    evaluation stage can re-threshold any candidate. The first failing gate
+    names the rejection.
     """
     if a.text_obs is None or b.text_obs is None:
         raise ValueError("decide_match needs text on both keyframes")
     text_score = text_similarity(a.text_obs.text, b.text_obs.text)
     text_ok = text_score >= thresholds.alpha
-    if not text_ok and not evaluate_all_gates:
-        return MatchCandidate(a.key, b.key, text_score, _SKIPPED_WIFI, Verdict.REJECTED_TEXT)
-
     _, wifi_score = is_wifi_match(
         a.fingerprint,
         b.fingerprint,
         thresholds.beta,
         thresholds.gamma,
         sigma_scale_db=sigma_scale_db,
-        short_circuit=not evaluate_all_gates,
     )
     verdict = wifi_verdict(wifi_score, thresholds) if text_ok else Verdict.REJECTED_TEXT
     return MatchCandidate(a.key, b.key, text_score, wifi_score, verdict)
@@ -239,15 +228,10 @@ def match_all(
     thresholds: Thresholds,
     *,
     sigma_scale_db: float = DEFAULT_SIGMA_SCALE_DB,
-    evaluate_all_gates: bool = False,
 ) -> list[MatchCandidate]:
     """Score every candidate pair, in deterministic order."""
     return [
-        decide_match(
-            a, b, thresholds,
-            sigma_scale_db=sigma_scale_db,
-            evaluate_all_gates=evaluate_all_gates,
-        )
+        decide_match(a, b, thresholds, sigma_scale_db=sigma_scale_db)
         for a, b in generate_candidates(keyframes, thresholds)
     ]
 

@@ -2,7 +2,8 @@
 
 Two observations of the same physical sign rarely agree byte for byte once
 OCR noise is involved, so candidate pairs are scored with a normalized edit
-distance and gated by a threshold alpha. The OCR corruption model used by
+distance; the text gate (place_recognition.decide_match) compares that
+score with a threshold alpha. The OCR corruption model used by
 the simulator lives here too, next to the matcher it exercises.
 """
 
@@ -55,25 +56,17 @@ def edit_distance(a: str, b: str) -> int:
     return previous_row[-1]
 
 
-def text_similarity(a: str, b: str, *, case_sensitive: bool = False) -> TextMatchScore:
+def text_similarity(a: str, b: str) -> TextMatchScore:
     """Normalized similarity: (max length - edit distance) / max length.
 
-    Comparison is case-insensitive by default (both strings are upper-cased
-    first). Undefined when both strings are empty.
+    Comparison is case-insensitive (both strings are upper-cased first).
+    Undefined when both strings are empty.
     """
     if not a and not b:
         raise ValueError("text similarity is undefined for two empty strings")
-    if not case_sensitive:
-        a, b = a.upper(), b.upper()
+    a, b = a.upper(), b.upper()
     longest = max(len(a), len(b))
     return (longest - edit_distance(a, b)) / longest
-
-
-def is_text_match(a: str, b: str, alpha: float, *, case_sensitive: bool = False) -> bool:
-    """Gate a pair of strings: true when similarity reaches alpha."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    return text_similarity(a, b, case_sensitive=case_sensitive) >= alpha
 
 
 def corrupt_text(

@@ -75,8 +75,8 @@ class WifiFingerprint:
 class WifiMatchScore:
     """Scores from the two WiFi gates.
 
-    When the MAC gate fails the RSS stage is skipped and the rss fields hold
-    the neutral values (inf distance, 0 similarity).
+    The rss fields hold the neutral values (inf distance, 0 similarity)
+    exactly when the two fingerprints share no MAC.
     """
 
     mac_similarity: float
@@ -131,24 +131,18 @@ def build_fingerprint(
     scans: Sequence[WifiScan],
     *,
     location_id: Optional[str] = None,
-    window_s: Optional[float] = None,
 ) -> WifiFingerprint:
     """Aggregate the scans around one location into a fingerprint.
 
-    All scans must come from the same agent. When window_s is given, the scan
-    timestamps must span at most that long. Scans with no readings contribute
-    nothing; if nothing was heard at all the fingerprint is empty (flagged by
-    is_empty) and will fail the MAC gate downstream.
+    All scans must come from the same agent. Scans with no readings
+    contribute nothing; if nothing was heard at all the fingerprint is empty
+    (flagged by is_empty) and will fail the MAC gate downstream.
     """
     if not scans:
         raise ValueError("cannot build a fingerprint from zero scans")
     agents = {s.agent_id for s in scans}
     if len(agents) != 1:
         raise ValueError(f"fingerprint scans must share one agent, got {sorted(agents)}")
-    if window_s is not None:
-        times = [s.timestamp for s in scans]
-        if max(times) - min(times) > window_s + 1e-9:
-            raise ValueError("scan timestamps exceed the fingerprint window")
     samples: dict[str, list[float]] = {}
     for scan in scans:
         for mac, rss in scan.readings:
@@ -206,27 +200,19 @@ def is_wifi_match(
     gamma: float,
     *,
     sigma_scale_db: float = DEFAULT_SIGMA_SCALE_DB,
-    short_circuit: bool = True,
 ) -> tuple[bool, WifiMatchScore]:
     """Two-stage WiFi gate: MAC overlap first, then RSS agreement.
 
-    Returns the verdict and the scores behind it. With short_circuit=True
-    (the operational behaviour) the RSS stage is skipped when the MAC gate
-    fails; passing False computes the full score record anyway, which the
-    evaluation harness needs for threshold sweeps. The verdict is identical
-    either way.
+    Returns the verdict and every score behind it; the RSS scores are
+    computed even when the MAC gate fails, so they can be re-thresholded.
     """
     for name, value in (("beta", beta), ("gamma", gamma)):
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"{name} must be in [0, 1], got {value}")
     ms = mac_similarity(a, b)
-    mac_ok = ms >= beta
-    if short_circuit and not mac_ok:
-        return False, WifiMatchScore(ms, math.inf, 0.0)
     common = a.macs & b.macs
     if not common:
-        # Possible when beta is 0, or in the exhaustive-score mode.
         return False, WifiMatchScore(ms, math.inf, 0.0)
     d = rss_distance(a, b)
     sim = rss_similarity(d, len(common), sigma_scale_db)
-    return mac_ok and sim >= gamma, WifiMatchScore(ms, d, sim)
+    return ms >= beta and sim >= gamma, WifiMatchScore(ms, d, sim)

@@ -78,7 +78,7 @@ def test_scoring_follows_the_verdict_when_no_access_point_is_shared():
     a = make_keyframe("a0", 0, 0.0, rss={"ap00": -50.0})
     b = make_keyframe("a1", 0, 0.0, rss={"ap01": -50.0})
     thresholds = Thresholds(alpha=0.8, beta=0.0, gamma=0.0)
-    candidate = decide_match(a, b, thresholds, evaluate_all_gates=True)
+    candidate = decide_match(a, b, thresholds)
     assert candidate.verdict is Verdict.REJECTED_MAC
 
     report = score_candidates([candidate], {a.key: a, b.key: b}, thresholds)

@@ -1,7 +1,5 @@
 """Keyframe extraction and the text/WiFi gate cascade."""
 
-import math
-
 import pytest
 
 from textwifi_slam.place_recognition import (
@@ -109,7 +107,7 @@ def test_gate_cascade_verdicts():
     other_text = make_keyframe("a1", 1, 0.0, text="FIRE EXIT", **base)
     out = decide_match(a, other_text, th)
     assert out.verdict == Verdict.REJECTED_TEXT
-    assert math.isinf(out.wifi_score.rss_distance_db)  # gate skipped
+    assert out.wifi_score.rss_distance_db == 0.0  # WiFi still scored
 
     other_macs = make_keyframe(
         "a1", 2, 0.0, text="ROOM A-101", rss={"ap07": -50.0, "ap08": -60.0}
@@ -135,14 +133,16 @@ def test_gate_scores_are_symmetric():
 
 
 def test_full_scoring_mode_matches_operational_verdicts():
+    # A pair the text gate rejects still carries finite WiFi scores, and
+    # the text gate still names the rejection although WiFi would accept.
     th = Thresholds()
     a = make_keyframe("a0", 0, 0.0, text="STAIR B", sign_id="s1")
     b = make_keyframe("a1", 0, 0.0, text="LIFT LOBBY", sign_id="s2")
-    fast = decide_match(a, b, th)
-    full = decide_match(a, b, th, evaluate_all_gates=True)
-    assert fast.verdict == full.verdict == Verdict.REJECTED_TEXT
-    assert math.isinf(fast.wifi_score.rss_distance_db)
-    assert full.wifi_score.rss_distance_db == 0.0  # identical default fingerprints
+    out = decide_match(a, b, th)
+    assert out.verdict == Verdict.REJECTED_TEXT
+    assert out.wifi_score.mac_similarity == 1.0
+    assert out.wifi_score.rss_distance_db == 0.0  # identical default fingerprints
+    assert out.wifi_score.rss_similarity == 1.0
 
 
 def test_decide_match_requires_text():

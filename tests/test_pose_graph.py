@@ -4,11 +4,12 @@ import math
 import multiprocessing
 import os
 from concurrent import futures
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
-from textwifi_slam import pipeline
+from textwifi_slam import pipeline, pose_graph
 from textwifi_slam.config import config_for_scenario
 from textwifi_slam.geometry import Pose2, compose, inverse, relative_pose, transform_points
 from textwifi_slam.icp import IcpResult
@@ -351,6 +352,25 @@ class TestRegisterPairs:
             register_keyframe_pairs([(a, b), (a, sparse), (a, b)])
         assert type(pooled.value) is type(direct.value)
         assert pooled.value.args == direct.value.args
+        assert multiprocessing.active_children() == []
+
+    def test_a_dying_worker_raises_in_the_caller(self, two_cpus, monkeypatch):
+        """A worker that exits mid-run breaks the pool: the caller gets
+        BrokenProcessPool and no worker is left behind. cli.main turns any
+        stage exception into exit code 2, so this surfaces as a failed run."""
+        register = pose_graph.register_keyframe_pair
+
+        def die_on_doomed(a, b, **kwargs):
+            if b.agent_id == "doomed":
+                os._exit(1)
+            return register(a, b, **kwargs)
+
+        monkeypatch.setattr(pose_graph, "register_keyframe_pair", die_on_doomed)
+        a = make_keyframe("a0", 0, 0.0)
+        b = make_keyframe("a1", 0, 1.0)
+        doomed = make_keyframe("doomed", 0, 2.0)
+        with pytest.raises(BrokenProcessPool):
+            register_keyframe_pairs([(a, b), (a, b), (a, doomed), (a, b)], max_iterations=20)
         assert multiprocessing.active_children() == []
 
 

@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from textwifi_slam.place_recognition import Thresholds, Verdict, decide_match
 from textwifi_slam.text_matching import (
     CORRUPTION_ALPHABET,
     corrupt_text,
     edit_distance,
-    is_text_match,
     text_similarity,
 )
+
+from conftest import make_keyframe
 
 short_text = st.text(alphabet="abcN0-", max_size=8)
 
@@ -78,8 +80,10 @@ def test_similarity_fixtures():
 
 
 def test_similarity_case_sensitive_mode():
-    assert text_similarity("abc", "ABC", case_sensitive=True) == 0.0
+    # Matching is always case-insensitive; there is no case-sensitive mode.
     assert text_similarity("abc", "ABC") == 1.0
+    assert text_similarity("Fire Exit", "FIRE EXIT") == 1.0
+    assert text_similarity("abc", "ABD") == text_similarity("ABC", "ABD")
 
 
 def test_similarity_undefined_for_two_empty_strings():
@@ -88,10 +92,17 @@ def test_similarity_undefined_for_two_empty_strings():
 
 
 def test_match_threshold_is_inclusive():
-    # One edit over ten characters scores exactly 0.9.
-    assert is_text_match("ROOM A-103", "ROOM A-104", 0.9)
-    assert not is_text_match("ROOM A-103", "ROOM A-104", 0.9 + 1e-9)
-    assert is_text_match("x", "y", 0.0)
+    # One edit over ten characters scores exactly 0.9, which passes the text
+    # gate of decide_match at alpha = 0.9 and fails it just above.
+    a = make_keyframe("a0", 0, 0.0, text="ROOM A-103")
+    b = make_keyframe("a1", 0, 0.0, text="ROOM A-104")
+    at = decide_match(a, b, Thresholds(alpha=0.9))
+    assert at.text_score == 0.9
+    assert at.verdict is Verdict.ACCEPTED
+    above = decide_match(a, b, Thresholds(alpha=0.9 + 1e-9))
+    assert above.verdict is Verdict.REJECTED_TEXT
+    x, y = make_keyframe("a0", 0, 0.0, text="x"), make_keyframe("a1", 0, 0.0, text="y")
+    assert decide_match(x, y, Thresholds(alpha=0.0)).verdict is Verdict.ACCEPTED
 
 
 def test_corrupt_text_clean_passthrough():

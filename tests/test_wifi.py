@@ -160,21 +160,23 @@ def test_wifi_match_identical_fingerprints():
 
 
 def test_wifi_match_short_circuit_sentinel():
+    # The MAC gate fails, yet the RSS fields are still computed on the
+    # shared MAC so the pair can be re-thresholded.
     a = fp({"m1": -50.0, "m2": -50.0, "m3": -50.0})
-    b = fp({"m1": -50.0})
+    b = fp({"m1": -53.0})
     ok, score = is_wifi_match(a, b, beta=0.8, gamma=0.5)
     assert not ok
     assert score.mac_similarity == pytest.approx(1.0 / 3.0)
-    assert math.isinf(score.rss_distance_db)
-    assert score.rss_similarity == 0.0
+    assert score.rss_distance_db == 3.0
+    assert score.rss_similarity == rss_similarity(3.0, 1)
 
 
 def test_wifi_match_disjoint_macs_never_match():
     a, b = fp({"m1": -50.0}), fp({"m2": -50.0})
-    for short_circuit in (True, False):
-        ok, score = is_wifi_match(a, b, beta=0.0, gamma=0.0, short_circuit=short_circuit)
-        assert not ok
-        assert math.isinf(score.rss_distance_db)
+    ok, score = is_wifi_match(a, b, beta=0.0, gamma=0.0)
+    assert not ok
+    assert math.isinf(score.rss_distance_db)
+    assert score.rss_similarity == 0.0
 
 
 def test_wifi_match_threshold_boundaries_are_inclusive():
@@ -226,7 +228,5 @@ def test_build_fingerprint_empty_scans_give_empty_fingerprint():
 def test_build_fingerprint_window_and_agent_checks():
     with pytest.raises(ValueError):
         build_fingerprint([])
-    with pytest.raises(ValueError):
-        build_fingerprint([scan(0.0, []), scan(10.0, [])], window_s=3.0)
     with pytest.raises(ValueError):
         build_fingerprint([scan(0.0, [], agent="a0"), scan(0.5, [], agent="a1")])
