@@ -1,10 +1,9 @@
-"""Run configuration: defaults, per-scenario tuning, file and flag overlays.
+"""Run configuration: defaults, file and flag overlays.
 
-Precedence, lowest to highest: dataclass defaults, scenario-tuned values,
-config file, command-line flags. The tuned values exist because the
-corridor scenes are larger and radio-noisier than the gate defaults assume;
-they only touch parameters whose defaults are otherwise both documented and
-sensible for unit-scale use.
+Precedence, lowest to highest: dataclass defaults, config file,
+command-line flags. The defaults are the operating point of the scripted
+scenes; validation rejects values no stage can run with, including a
+scenario name the scenarios module does not know.
 """
 
 from __future__ import annotations
@@ -16,19 +15,9 @@ from pathlib import Path
 from typing import Mapping, Optional, Union
 
 from .place_recognition import Thresholds
+from .scenarios import scenario_names
 
 PathLike = Union[str, Path]
-
-# Scene-specific operating points. The corridor scenes space access points
-# about a room apart, so same-place fingerprints taken a couple of meters
-# apart differ by 10-23 dB while different-place ones sit above 27 dB; the
-# 32 dB kernel puts the gate threshold inside that gap, where the 10 dB
-# default would reject most genuine revisits. Cross-agent registration
-# starts from drifted odometry, hence the wider correspondence radius.
-SCENARIO_TUNED: dict[str, dict] = {
-    "scene01": {"sigma_scale_db": 32.0, "icp_correspondence_radius_m": 2.0},
-    "scene02": {"sigma_scale_db": 32.0, "icp_correspondence_radius_m": 2.0},
-}
 
 
 @dataclass
@@ -41,11 +30,17 @@ class RunConfig:
     beta: float = 0.8
     gamma: float = 0.8
     min_loop_separation_s: float = 30.0
-    sigma_scale_db: float = 10.0
+    # The scenes space access points about a room apart, so same-place
+    # fingerprints taken a couple of meters apart differ by 10-23 dB while
+    # different-place ones sit above 27 dB; the 32 dB kernel puts the gate
+    # threshold inside that gap, where wifi's 10 dB library default would
+    # reject most genuine revisits.
+    sigma_scale_db: float = 32.0
     fingerprint_window_s: float = 3.0
-    # Scan registration.
+    # Scan registration. Cross-agent registration starts from drifted
+    # odometry, hence a correspondence radius wider than icp's 1 m default.
     icp_max_iterations: int = 50
-    icp_correspondence_radius_m: float = 1.0
+    icp_correspondence_radius_m: float = 2.0
     icp_tolerance: float = 1e-5
     # Pose-graph optimization.
     optimizer_max_iterations: int = 50
@@ -58,6 +53,10 @@ class RunConfig:
     sweep: bool = False
 
     def validate(self) -> None:
+        if self.scenario not in scenario_names():
+            raise ValueError(
+                f"unknown scenario {self.scenario!r}, known: {', '.join(scenario_names())}"
+            )
         for name in ("alpha", "beta", "gamma"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -113,24 +112,18 @@ def build_config(
     config_path: Optional[PathLike] = None,
     flag_overrides: Optional[Mapping] = None,
 ) -> RunConfig:
-    """Merge defaults, scenario tuning, file values, and flags, in that order."""
+    """Merge defaults, file values, and flags, in that order."""
     file_values = load_config_file(config_path) if config_path else {}
     flags = {k: v for k, v in dict(flag_overrides or {}).items() if v is not None}
     unknown = sorted(set(flags) - _FIELD_NAMES)
     if unknown:
         raise ValueError(f"unknown config overrides: {', '.join(unknown)}")
 
-    merged = {f.name: f.default for f in dataclasses.fields(RunConfig)}
-    scenario = flags.get("scenario", file_values.get("scenario", merged["scenario"]))
-    merged.update(SCENARIO_TUNED.get(scenario, {}))
-    merged.update(file_values)
-    merged.update(flags)
-    merged["scenario"] = scenario
-    cfg = RunConfig(**merged)
+    cfg = RunConfig(**{**file_values, **flags})
     cfg.validate()
     return cfg
 
 
 def config_for_scenario(name: str, **overrides) -> RunConfig:
-    """Scenario defaults plus keyword overrides; the programmatic entry point."""
+    """Defaults for a named scene plus keyword overrides; the programmatic entry point."""
     return build_config(flag_overrides={"scenario": name, **overrides})

@@ -56,10 +56,10 @@ class ScoreReport:
 
 
 def _pair_is_true(a: Keyframe, b: Keyframe) -> bool:
-    ta, tb = a.text_obs, b.text_obs
-    if ta is None or tb is None or ta.sign_id_truth is None or tb.sign_id_truth is None:
+    ta, tb = a.text_obs.sign_id_truth, b.text_obs.sign_id_truth
+    if ta is None or tb is None:
         raise ValueError("candidate keyframes lack ground-truth sign ids")
-    return ta.sign_id_truth == tb.sign_id_truth
+    return ta == tb
 
 def _metrics(decisions: Iterable[tuple[bool, bool]]) -> PrMetrics:
     tp = fp = fn = 0
@@ -96,16 +96,6 @@ def score_candidates(
     )
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    alpha: float
-    beta: float
-    gamma: float
-    text_only: PrMetrics
-    wifi_only: PrMetrics
-    fused: PrMetrics
-
-
 # The threshold sweep's grid: each alpha against each (beta, gamma) pair.
 SWEEP_ALPHAS = (0.5, 0.8, 1.0)
 SWEEP_BETA_GAMMAS = ((0.5, 0.5), (0.8, 0.8), (0.9, 0.9))
@@ -114,15 +104,14 @@ SWEEP_BETA_GAMMAS = ((0.5, 0.5), (0.8, 0.8), (0.9, 0.9))
 def threshold_sweep(
     candidates: Sequence[MatchCandidate],
     keyframes_by_key: Mapping[NodeKey, Keyframe],
-) -> list[SweepRow]:
+) -> list[tuple[Thresholds, ScoreReport]]:
     """Re-score the same candidates across the SWEEP_* grid of gate thresholds."""
-    rows = []
-    for alpha in SWEEP_ALPHAS:
-        for beta, gamma in SWEEP_BETA_GAMMAS:
-            th = Thresholds(alpha=alpha, beta=beta, gamma=gamma)
-            report = score_candidates(candidates, keyframes_by_key, th)
-            rows.append(SweepRow(alpha, beta, gamma, report.text_only, report.wifi_only, report.fused))
-    return rows
+    grid = [
+        Thresholds(alpha=alpha, beta=beta, gamma=gamma)
+        for alpha in SWEEP_ALPHAS
+        for beta, gamma in SWEEP_BETA_GAMMAS
+    ]
+    return [(th, score_candidates(candidates, keyframes_by_key, th)) for th in grid]
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ that build their nearest-neighbour KD-tree once, on first use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -126,12 +126,9 @@ class PointCloud2:
 
 def transform_cloud(pose: Pose2, cloud: PointCloud2) -> PointCloud2:
     """Apply a rigid transform to every point of a cloud."""
-    if cloud.is_empty:
-        return PointCloud2(cloud.points, frame_id=cloud.frame_id)
-    moved = cloud.points @ pose.rotation_matrix().T + pose.translation()
-    return PointCloud2(moved, frame_id=cloud.frame_id)
+    return PointCloud2(transform_points(pose, cloud.points), frame_id=cloud.frame_id)
 
 
 def transform_points(pose: Pose2, points: np.ndarray) -> np.ndarray:
-    """Array version of transform_cloud for hot loops."""
+    """Apply a rigid transform to the rows of an (n, 2) array."""
     return points @ pose.rotation_matrix().T + pose.translation()

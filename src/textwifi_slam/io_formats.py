@@ -178,20 +178,22 @@ def recording_path(out_dir: PathLike, agent_id: str) -> Path:
     return Path(out_dir) / f"recording_{agent_id}.jsonl"
 
 
-def save_recordings(out_dir: PathLike, recordings: Mapping[str, Recording]) -> list[Path]:
-    paths = []
+def save_recordings(out_dir: PathLike, recordings: Mapping[str, Recording]) -> None:
     for agent_id in sorted(recordings):
-        p = recording_path(out_dir, agent_id)
-        save_recording(p, recordings[agent_id])
-        paths.append(p)
-    return paths
+        save_recording(recording_path(out_dir, agent_id), recordings[agent_id])
 
 
 def load_recordings(out_dir: PathLike) -> dict[str, Recording]:
+    """Every recording_*.jsonl under out_dir, by agent; one file per agent."""
     recs: dict[str, Recording] = {}
+    paths: dict[str, Path] = {}
     for p in sorted(Path(out_dir).glob("recording_*.jsonl")):
         rec = load_recording(p)
-        recs[rec.agent_id] = rec
+        if rec.agent_id in recs:
+            raise ValueError(
+                f"{paths[rec.agent_id]} and {p} both hold agent {rec.agent_id!r}"
+            )
+        recs[rec.agent_id], paths[rec.agent_id] = rec, p
     if not recs:
         raise ValueError(f"no recording_*.jsonl files under {out_dir}")
     return recs
@@ -252,11 +254,11 @@ def save_match_report(
     )
 
 
-def load_match_report(path: PathLike) -> tuple[list[MatchCandidate], list[list[NodeKey]], dict]:
+def load_match_report(path: PathLike) -> tuple[list[MatchCandidate], list[list[NodeKey]]]:
     data = load_json(path)
     candidates = [candidate_from_dict(c) for c in data["candidates"]]
     verified = [[_node_from_list(k) for k in group] for group in data["verified_locations"]]
-    return candidates, verified, data["settings"]
+    return candidates, verified
 
 
 # ------------------------------------------------------------- trajectories
@@ -283,15 +285,12 @@ def save_trajectories(
     path: PathLike,
     initial: Mapping[NodeKey, Pose2],
     optimized: Mapping[NodeKey, Pose2],
-    extras: Mapping | None = None,
+    extras: Mapping,
 ) -> None:
-    doc = {
-        "initial": poses_to_list(initial),
-        "optimized": poses_to_list(optimized),
-    }
-    if extras:
-        doc.update(extras)
-    save_json(path, doc)
+    save_json(
+        path,
+        {**extras, "initial": poses_to_list(initial), "optimized": poses_to_list(optimized)},
+    )
 
 
 def load_trajectories(path: PathLike) -> tuple[dict[NodeKey, Pose2], dict[NodeKey, Pose2], dict]:

@@ -199,15 +199,8 @@ def stage_evaluate(result: PipelineResult) -> dict:
     }
     if cfg.sweep:
         metrics["sweep"] = [
-            {
-                "alpha": row.alpha,
-                "beta": row.beta,
-                "gamma": row.gamma,
-                **_metrics_from_pr(
-                    ScoreReport(row.text_only, row.wifi_only, row.fused, 0, 0)
-                ),
-            }
-            for row in threshold_sweep(result.candidates, by_key)
+            {"alpha": th.alpha, "beta": th.beta, "gamma": th.gamma, **_metrics_from_pr(swept)}
+            for th, swept in threshold_sweep(result.candidates, by_key)
         ]
 
     trajectory: dict = {
@@ -303,7 +296,7 @@ def write_artifacts(result: PipelineResult, out_dir: Path) -> None:
 def _read_align_inputs(cfg: RunConfig, out_dir: Path) -> PipelineResult:
     result = PipelineResult(config=cfg, recordings=io_formats.load_recordings(out_dir))
     report = out_dir / MATCH_REPORT_FILE
-    result.candidates, result.verified, _ = io_formats.load_match_report(report)
+    result.candidates, result.verified = io_formats.load_match_report(report)
     result.keyframes = extract_all_keyframes(result.recordings, cfg)
     return result
 

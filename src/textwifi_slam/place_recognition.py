@@ -13,7 +13,7 @@ import enum
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .geometry import Pose2, PointCloud2
 from .simulate import Recording, integrate_odometry
@@ -86,7 +86,7 @@ class Keyframe:
     timestamp: float
     odom_pose: Pose2
     scan: PointCloud2
-    text_obs: Optional[TextObservation]
+    text_obs: TextObservation
     fingerprint: WifiFingerprint
 
     @property
@@ -176,17 +176,14 @@ def generate_candidates(
 ) -> list[tuple[Keyframe, Keyframe]]:
     """Unordered candidate pairs worth scoring.
 
-    Every cross-agent pair of text-bearing keyframes is a candidate; pairs
-    from one agent only qualify as revisits once they are at least
-    min_loop_separation_s apart. Order is deterministic.
+    Every cross-agent pair of keyframes is a candidate; pairs from one agent
+    only qualify as revisits once they are at least min_loop_separation_s
+    apart. Order is deterministic.
     """
-    bearing = sorted(
-        (kf for kf in keyframes if kf.text_obs is not None),
-        key=lambda kf: kf.key,
-    )
+    ordered = sorted(keyframes, key=lambda kf: kf.key)
     pairs: list[tuple[Keyframe, Keyframe]] = []
-    for i, a in enumerate(bearing):
-        for b in bearing[i + 1:]:
+    for i, a in enumerate(ordered):
+        for b in ordered[i + 1:]:
             if a.agent_id == b.agent_id:
                 if abs(a.timestamp - b.timestamp) >= thresholds.min_loop_separation_s:
                     pairs.append((a, b))
@@ -208,8 +205,6 @@ def decide_match(
     evaluation stage can re-threshold any candidate. The first failing gate
     names the rejection.
     """
-    if a.text_obs is None or b.text_obs is None:
-        raise ValueError("decide_match needs text on both keyframes")
     text_score = text_similarity(a.text_obs.text, b.text_obs.text)
     text_ok = text_score >= thresholds.alpha
     _, wifi_score = is_wifi_match(

@@ -9,7 +9,6 @@ within-agent loop closures.
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 
 from .simulate import AgentScript, NoiseModel

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -78,12 +78,6 @@ class AgentScript:
                 raise ValueError(f"sensor rate {hz} Hz does not fit the {TICK_S}s tick")
         if not 0.0 <= self.text_detection_prob <= 1.0:
             raise ValueError("detection probability must be in [0, 1]")
-
-    def path_length_m(self) -> float:
-        total = 0.0
-        for (a, _), (b, _) in zip(self.waypoints, self.waypoints[1:]):
-            total += math.hypot(b[0] - a[0], b[1] - a[1])
-        return total
 
 
 @dataclass(frozen=True)

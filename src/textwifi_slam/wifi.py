@@ -1,8 +1,8 @@
 """WiFi fingerprints: the path-loss forward model, RSS aggregation, and
 comparison of two locations.
 
-A fingerprint is a map from access-point MAC to a filtered RSS value built
-from the scans around a keyframe. Two fingerprints match when their MAC sets
+A fingerprint is a map from access-point MAC to the mean RSS of the scans
+around a keyframe. Two fingerprints match when their MAC sets
 overlap enough (threshold beta) and the signal strengths on the shared MACs
 agree (threshold gamma on a normalized similarity).
 """
@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 log = logging.getLogger(__name__)
 
@@ -66,10 +66,6 @@ class WifiFingerprint:
     def macs(self) -> frozenset[str]:
         return frozenset(self.entries)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.entries
-
 
 @dataclass(frozen=True)
 class WifiMatchScore:
@@ -104,39 +100,26 @@ def predicted_rss(
     )
 
 
-def filter_and_average(samples: Sequence[float], *, corrected_std: bool = False) -> float:
-    """Drop outlier RSS samples and average the rest.
+def filter_and_average(samples: Sequence[float]) -> float:
+    """The mean of one MAC's RSS samples, which must be finite and non-empty.
 
-    The spread R is the square root of the summed squared deviations from the
-    mean; samples farther than R from the mean are discarded. With
-    corrected_std=True the sum is divided by n first (the conventional
-    population standard deviation), which is a stricter filter.
+    No sample is dropped as an outlier. A filter on the samples' spread
+    would change every fingerprint, and so every gate score downstream.
     """
     if not samples:
         raise ValueError("cannot average an empty sample set")
     values = [float(x) for x in samples]
     if not all(math.isfinite(x) for x in values):
         raise ValueError("RSS samples must be finite")
-    mean = sum(values) / len(values)
-    sum_sq = sum((x - mean) ** 2 for x in values)
-    spread = math.sqrt(sum_sq / len(values)) if corrected_std else math.sqrt(sum_sq)
-    kept = [x for x in values if abs(x - mean) <= spread]
-    if not kept:
-        log.debug("RSS filter removed every sample, falling back to the mean")
-        return mean
-    return sum(kept) / len(kept)
+    return sum(values) / len(values)
 
 
-def build_fingerprint(
-    scans: Sequence[WifiScan],
-    *,
-    location_id: Optional[str] = None,
-) -> WifiFingerprint:
+def build_fingerprint(scans: Sequence[WifiScan], *, location_id: str) -> WifiFingerprint:
     """Aggregate the scans around one location into a fingerprint.
 
     All scans must come from the same agent. Scans with no readings
-    contribute nothing; if nothing was heard at all the fingerprint is empty
-    (flagged by is_empty) and will fail the MAC gate downstream.
+    contribute nothing; if nothing was heard at all the fingerprint has no
+    entries and will fail the MAC gate downstream.
     """
     if not scans:
         raise ValueError("cannot build a fingerprint from zero scans")
@@ -148,8 +131,6 @@ def build_fingerprint(
         for mac, rss in scan.readings:
             samples.setdefault(mac, []).append(rss)
     entries = {mac: filter_and_average(values) for mac, values in sorted(samples.items())}
-    if location_id is None:
-        location_id = f"{scans[0].agent_id}@{scans[0].timestamp:.3f}"
     if not entries:
         log.debug("fingerprint %s is empty, no APs heard", location_id)
     return WifiFingerprint(location_id=location_id, entries=entries)

@@ -9,7 +9,7 @@ plan with agent routes for the named benchmark scenes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,12 +72,6 @@ class FloorPlan:
         xs = [x for wall in self.walls for x, _ in wall]
         ys = [y for wall in self.walls for _, y in wall]
         return min(xs), min(ys), max(xs), max(ys)
-
-    def anchor(self, label: str) -> Point:
-        for name, position in self.named_anchors:
-            if name == label:
-                return position
-        raise KeyError(f"no anchor named {label!r}")
 
 
 def _wall_arrays(walls: tuple[Wall, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -284,9 +278,4 @@ def generate_floorplan(
         )
         for i, (px, py) in enumerate(positions[:ap_count])
     )
-
-    anchors = (
-        ("west_end", (1.5, cw / 2.0)),
-        ("east_end", (length - 1.5, cw / 2.0)),
-    )
-    return FloorPlan(tuple(_corridor_walls(t)), tuple(signs), aps, anchors)
+    return FloorPlan(tuple(_corridor_walls(t)), tuple(signs), aps)

@@ -60,13 +60,12 @@ def make_keyframe(
     """A hand-built keyframe for gate and graph tests."""
     entries = {"ap00": -50.0, "ap01": -60.0} if rss is None else rss
     points = L_SHAPE if scan_points is None else scan_points
-    obs = TextObservation(timestamp, agent, text, sign_id) if text is not None else None
     return Keyframe(
         agent_id=agent,
         keyframe_id=kf_id,
         timestamp=timestamp,
         odom_pose=pose,
         scan=PointCloud2(points, frame_id=agent),
-        text_obs=obs,
+        text_obs=TextObservation(timestamp, agent, text, sign_id),
         fingerprint=WifiFingerprint(f"{agent}:{kf_id}", entries),
     )

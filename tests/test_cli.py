@@ -35,6 +35,15 @@ class TestExitCodes:
         assert code == 1
         assert "configuration error" in capsys.readouterr().err
 
+    def test_unknown_scenario_in_config_file_is_a_configuration_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"scenario": "bench"}))
+        out = tmp_path / "o"
+        code = main(["generate", "--config", str(cfg), "--out", str(out)])
+        assert code == 1
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_config_file_is_a_configuration_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"alhpa": 0.9}))
@@ -67,6 +76,15 @@ def test_generate_writes_world_and_settings(tmp_path, capsys):
     plan = json.loads((out / "floorplan.json").read_text())
     assert plan["walls_m"]
     assert len(plan["access_points"]) == 10
+
+    # Both scenes run at the same operating point, the RunConfig defaults.
+    for scenario in ("scene01", "scene02"):
+        scene_out = tmp_path / scenario
+        assert main(["generate", "--out", str(scene_out), "--scenario", scenario]) == 0
+        cfg = json.loads((scene_out / "config.json").read_text())
+        assert cfg["scenario"] == scenario
+        assert cfg["sigma_scale_db"] == 32.0
+        assert cfg["icp_correspondence_radius_m"] == 2.0
 
 
 def test_staged_run_matches_run_all_byte_for_byte(tmp_path):

@@ -12,8 +12,8 @@ def test_defaults_are_self_consistent():
     cfg.validate()
     assert cfg.scenario == "scene01"
     assert (cfg.alpha, cfg.beta, cfg.gamma) == (0.8, 0.8, 0.8)
-    assert cfg.sigma_scale_db == 10.0
-    assert cfg.icp_correspondence_radius_m == 1.0
+    assert cfg.sigma_scale_db == 32.0
+    assert cfg.icp_correspondence_radius_m == 2.0
 
 
 def test_thresholds_view_carries_the_gate_values():
@@ -36,6 +36,7 @@ def test_thresholds_view_carries_the_gate_values():
         ("duplicate_text_count", -2),
         ("voxel_size_m", -0.1),
         ("fingerprint_window_s", 0.0),
+        ("scenario", "bench"),
     ],
 )
 def test_validate_rejects_out_of_range_values(field, value):
@@ -44,23 +45,13 @@ def test_validate_rejects_out_of_range_values(field, value):
         cfg.validate()
 
 
-def test_scenario_tuning_applies_to_known_scenes():
-    cfg = config_for_scenario("scene01")
-    assert cfg.sigma_scale_db == 32.0
-    assert cfg.icp_correspondence_radius_m == 2.0
-
-    plain = config_for_scenario("bench")
-    assert plain.sigma_scale_db == 10.0
-    assert plain.icp_correspondence_radius_m == 1.0
-
-
 def test_flags_override_file_which_overrides_tuning(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"scenario": "scene02", "alpha": 0.6, "seed": 4}))
 
     cfg = build_config(config_path=path)
     assert cfg.scenario == "scene02"
-    assert cfg.sigma_scale_db == 32.0  # tuned for the scene named by the file
+    assert cfg.sigma_scale_db == 32.0  # the default, which the file leaves alone
     assert cfg.alpha == 0.6
     assert cfg.seed == 4
 
@@ -68,21 +59,15 @@ def test_flags_override_file_which_overrides_tuning(tmp_path):
     assert cfg.alpha == 0.95  # flag beats file
     assert cfg.seed == 4  # a None flag is "not given", not an override
 
+    cfg = build_config(config_path=path, flag_overrides={"scenario": "scene01"})
+    assert cfg.scenario == "scene01"  # the scenario flag beats the file's too
+    assert cfg.alpha == 0.6
+
 
 def test_file_can_retune_a_tuned_value(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"scenario": "scene01", "sigma_scale_db": 20.0}))
     assert build_config(config_path=path).sigma_scale_db == 20.0
-
-
-def test_scenario_flag_decides_which_tuning_applies(tmp_path):
-    # The file names scene01, the flag overrides to an untuned scenario:
-    # tuned values must not leak in from the file's scenario.
-    path = tmp_path / "run.json"
-    path.write_text(json.dumps({"scenario": "scene01"}))
-    cfg = build_config(config_path=path, flag_overrides={"scenario": "bench"})
-    assert cfg.scenario == "bench"
-    assert cfg.sigma_scale_db == 10.0
 
 
 def test_unknown_keys_are_rejected(tmp_path):

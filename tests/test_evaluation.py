@@ -95,25 +95,17 @@ def test_scoring_demands_ground_truth(scored_world):
     with pytest.raises(ValueError):
         score_candidates(rigged, by_key, Thresholds())
 
-    textless = make_keyframe("a8", 0, 0.0, text=None)
-    by_key[textless.key] = textless
-    with pytest.raises(ValueError):
-        score_candidates([cand(("a0", 0), ("a8", 0), 0.9, 0.9, 0.9)], by_key, Thresholds())
-
 
 def test_sweep_covers_the_grid_and_matches_single_scoring(scored_world):
     candidates, by_key = scored_world
-    rows = threshold_sweep(candidates, by_key)
+    rows = dict(threshold_sweep(candidates, by_key))
     assert len(rows) == 9
-    assert [(r.alpha, r.beta) for r in rows[:3]] == [(0.5, 0.5), (0.5, 0.8), (0.5, 0.9)]
+    assert [(th.alpha, th.beta) for th in list(rows)[:3]] == [(0.5, 0.5), (0.5, 0.8), (0.5, 0.9)]
 
-    middle = next(r for r in rows if (r.alpha, r.beta, r.gamma) == (0.8, 0.8, 0.8))
     direct = score_candidates(candidates, by_key, Thresholds(0.8, 0.8, 0.8))
-    assert middle.text_only == direct.text_only
-    assert middle.wifi_only == direct.wifi_only
-    assert middle.fused == direct.fused
+    assert rows[Thresholds(0.8, 0.8, 0.8)] == direct
 
-    strict = next(r for r in rows if r.alpha == 1.0 and r.beta == 0.9)
+    strict = rows[Thresholds(alpha=1.0, beta=0.9, gamma=0.9)]
     assert strict.text_only == PrMetrics(0, 0, 2)  # nothing survives alpha = 1.0
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -106,11 +107,21 @@ class TestRecording:
         b.wifi = [WifiScan(0.0, "a1", (("ap00", -50.5),))]
         b.scans = [ScanEvent(0.0, PointCloud2([[1.0, 2.0]], frame_id="a1"))]
         recs["a1"] = b
-        paths = save_recordings(tmp_path, recs)
-        assert [p.name for p in paths] == ["recording_a0.jsonl", "recording_a1.jsonl"]
+        save_recordings(tmp_path, recs)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "recording_a0.jsonl",
+            "recording_a1.jsonl",
+        ]
         assert recording_path(tmp_path, "a7").name == "recording_a7.jsonl"
         loaded = load_recordings(tmp_path)
         assert loaded == recs
+
+    def test_two_files_for_one_agent_are_rejected(self, tmp_path):
+        save_recordings(tmp_path, {"a0": sample_recording()})
+        copy = tmp_path / "recording_copy.jsonl"
+        copy.write_bytes(recording_path(tmp_path, "a0").read_bytes())
+        with pytest.raises(ValueError, match="recording_a0.jsonl.*recording_copy.jsonl"):
+            load_recordings(tmp_path)
 
     def test_discovery_of_nothing_is_an_error(self, tmp_path):
         with pytest.raises(ValueError, match="no recording"):
@@ -119,7 +130,10 @@ class TestRecording:
 
 class TestFloorplan:
     def test_round_trip_preserves_every_field(self, tmp_path):
-        plan = generate_floorplan(CorridorTemplate(), 2, 4, seed=3)
+        plan = replace(
+            generate_floorplan(CorridorTemplate(), 2, 4, seed=3),
+            named_anchors=(("a0/start", (1.5, 1.5)), ("a2/end", (20.25, 1.5))),
+        )
         path = tmp_path / "floorplan.json"
         save_floorplan(path, plan)
         loaded = load_floorplan(path)
@@ -157,10 +171,10 @@ class TestMatchReport:
         verified = [[("a0", 0), ("a1", 3)]]
         settings = {"alpha": 0.8, "beta": 0.8, "gamma": 0.8}
         save_match_report(path, [self.C_FINITE, self.C_INF], verified, settings)
-        candidates, groups, loaded_settings = load_match_report(path)
+        candidates, groups = load_match_report(path)
         assert candidates == [self.C_FINITE, self.C_INF]
         assert groups == verified
-        assert loaded_settings == settings
+        assert json.loads(path.read_text())["settings"] == settings
 
 
 class TestTrajectories:
@@ -177,7 +191,7 @@ class TestTrajectories:
 
     def test_keys_restored_as_typed_tuples(self, tmp_path):
         path = tmp_path / "trajectories.json"
-        save_trajectories(path, {("a0", 7): Pose2.identity()}, {})
+        save_trajectories(path, {("a0", 7): Pose2.identity()}, {}, {})
         got_initial, _, _ = load_trajectories(path)
         assert list(got_initial) == [("a0", 7)]
 

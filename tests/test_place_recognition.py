@@ -84,16 +84,10 @@ def test_candidate_pairing_rules():
     assert (("a0", 0), ("a0", 2)) in keys
     assert (("a0", 1), ("a0", 2)) in keys
     assert (("a1", 0), ("a1", 1)) in keys
-    # Cross agent: every text-bearing pair qualifies.
+    # Cross agent: every pair qualifies.
     cross = {k for k in keys if k[0][0] != k[1][0]}
     assert len(cross) == 6
     assert len(keys) == 9
-
-
-def test_candidates_skip_textless_keyframes():
-    th = Thresholds()
-    kfs = [make_keyframe("a0", 0, 0.0), make_keyframe("a1", 0, 0.0, text=None)]
-    assert generate_candidates(kfs, th) == []
 
 
 def test_gate_cascade_verdicts():
@@ -143,14 +137,6 @@ def test_full_scoring_mode_matches_operational_verdicts():
     assert out.wifi_score.mac_similarity == 1.0
     assert out.wifi_score.rss_distance_db == 0.0  # identical default fingerprints
     assert out.wifi_score.rss_similarity == 1.0
-
-
-def test_decide_match_requires_text():
-    th = Thresholds()
-    a = make_keyframe("a0", 0, 0.0)
-    b = make_keyframe("a1", 0, 0.0, text=None)
-    with pytest.raises(ValueError):
-        decide_match(a, b, th)
 
 
 def test_match_all_is_deterministic():

@@ -152,7 +152,3 @@ def test_hold_time_must_be_non_negative(small_plan):
     bad = script(waypoints=(((1.5, 1.5), -1.0), ((2.5, 1.5), 0.0)))
     with pytest.raises(ValueError):
         simulate_recording(small_plan, bad)
-
-
-def test_path_length_helper():
-    assert script().path_length_m() == pytest.approx(18.0)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from textwifi_slam.scenarios import scenario_names, scripted_scenario
 from textwifi_slam.wifi import AccessPoint
 from textwifi_slam.world import (
     CorridorTemplate,
@@ -129,9 +130,12 @@ def test_generator_input_validation():
 
 
 def test_named_anchor_lookup(plan):
-    assert plan.anchor("west_end") == (1.5, 1.5)
-    with pytest.raises(KeyError):
-        plan.anchor("nowhere")
+    # The generator places no anchors; a scripted scene names the spot where
+    # a0 starts and a2 ends, which end-point error is measured between.
+    assert plan.named_anchors == ()
+    for name in scenario_names():
+        scene_plan, _ = scripted_scenario(name, 0)
+        assert dict(scene_plan.named_anchors) == {"a0/start": (1.5, 1.5), "a2/end": (1.5, 1.5)}
 
 
 def test_floorplan_rejects_inconsistent_contents():
