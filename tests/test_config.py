@@ -45,6 +45,15 @@ def test_validate_rejects_out_of_range_values(field, value):
         cfg.validate()
 
 
+def test_scenario_tuning_applies_to_known_scenes():
+    # Every known scene runs at the same operating point, held in the defaults.
+    for name in ("scene01", "scene02"):
+        cfg = config_for_scenario(name)
+        assert cfg.scenario == name
+        assert cfg.sigma_scale_db == 32.0
+        assert cfg.icp_correspondence_radius_m == 2.0
+
+
 def test_flags_override_file_which_overrides_tuning(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"scenario": "scene02", "alpha": 0.6, "seed": 4}))
@@ -59,15 +68,23 @@ def test_flags_override_file_which_overrides_tuning(tmp_path):
     assert cfg.alpha == 0.95  # flag beats file
     assert cfg.seed == 4  # a None flag is "not given", not an override
 
-    cfg = build_config(config_path=path, flag_overrides={"scenario": "scene01"})
-    assert cfg.scenario == "scene01"  # the scenario flag beats the file's too
-    assert cfg.alpha == 0.6
 
 
 def test_file_can_retune_a_tuned_value(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"scenario": "scene01", "sigma_scale_db": 20.0}))
     assert build_config(config_path=path).sigma_scale_db == 20.0
+
+
+def test_scenario_flag_decides_which_tuning_applies(tmp_path):
+    # The file names scene01 and retunes a value; the flag switches the
+    # scenario. The flag decides the scenario, and the file's values stay.
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"scenario": "scene01", "alpha": 0.6, "sigma_scale_db": 20.0}))
+    cfg = build_config(config_path=path, flag_overrides={"scenario": "scene02"})
+    assert cfg.scenario == "scene02"
+    assert cfg.alpha == 0.6
+    assert cfg.sigma_scale_db == 20.0
 
 
 def test_unknown_keys_are_rejected(tmp_path):
