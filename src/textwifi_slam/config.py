@@ -3,7 +3,8 @@
 Precedence, lowest to highest: dataclass defaults, config file,
 command-line flags. The defaults are the operating point of the scripted
 scenes; validation rejects values no stage can run with, including a
-scenario name the scenarios module does not know.
+value of the wrong type and a scenario name the scenarios module does not
+know.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional, Union, get_type_hints
 
 from .place_recognition import Thresholds
 from .scenarios import scenario_names
@@ -53,6 +54,15 @@ class RunConfig:
     sweep: bool = False
 
     def validate(self) -> None:
+        for name, kind in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            # bool is a subclass of int, and a JSON number with no fraction reads as int.
+            accepted = (int, float) if kind is float else kind
+            if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
+                raise ValueError(
+                    f"{name} must be of type {kind.__name__}, "
+                    f"got {type(value).__name__} {value!r}"
+                )
         if self.scenario not in scenario_names():
             raise ValueError(
                 f"unknown scenario {self.scenario!r}, known: {', '.join(scenario_names())}"
@@ -94,6 +104,7 @@ class RunConfig:
 
 
 _FIELD_NAMES = {f.name for f in dataclasses.fields(RunConfig)}
+_FIELD_TYPES = get_type_hints(RunConfig)
 
 
 def load_config_file(path: PathLike) -> dict:

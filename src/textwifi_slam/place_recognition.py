@@ -4,14 +4,15 @@ A keyframe is emitted whenever an agent reads a sign; it carries the scan
 nearest in time and a WiFi fingerprint built from the scans in a window
 around it. Candidate keyframe pairs pass through two gates in order: text
 similarity (cheap, permissive) and then the WiFi fingerprint check, which is
-what tells two identical signs in different places apart.
+what tells two identical signs in different places apart. A few sign texts
+recur across many keyframes, so matching scores each distinct text pair once.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -29,6 +30,9 @@ from .wifi import (
 NodeKey = tuple[str, int]  # (agent_id, keyframe_id)
 
 DEFAULT_FINGERPRINT_WINDOW_S = 3.0
+# The bisected fingerprint window is widened by this much, far more than any
+# rounding of the bounds, so the exact distance test alone decides membership.
+_WINDOW_SLACK_S = 1e-6
 
 
 class Verdict(str, enum.Enum):
@@ -122,6 +126,8 @@ def extract_keyframes(
     odom_times = [t for t, _ in odom]
     scan_times = [s.timestamp for s in recording.scans]
     wifi_times = [w.timestamp for w in recording.wifi]
+    if any(later < earlier for earlier, later in zip(wifi_times, wifi_times[1:])):
+        raise ValueError(f"recording {recording.agent_id}: wifi timestamps are out of order")
     half = fingerprint_window_s / 2.0
 
     def nearest_index(times: list[float], t: float) -> int:
@@ -149,8 +155,10 @@ def extract_keyframes(
         # the fingerprint, scan, and pose must all describe the same instant
         # or a loop edge would constrain a node using radio data from half a
         # scan period away.
+        lo = bisect_left(wifi_times, anchor_t - half - _WINDOW_SLACK_S)
+        hi = bisect_right(wifi_times, anchor_t + half + _WINDOW_SLACK_S)
         window = [
-            w for w in recording.wifi if abs(w.timestamp - anchor_t) <= half + 1e-9
+            w for w in recording.wifi[lo:hi] if abs(w.timestamp - anchor_t) <= half + 1e-9
         ]
         if window:
             fingerprint = build_fingerprint(window, location_id=f"{recording.agent_id}:{kf_id}")
@@ -192,6 +200,26 @@ def generate_candidates(
     return pairs
 
 
+def _scored_candidate(
+    a: Keyframe,
+    b: Keyframe,
+    text_score: float,
+    thresholds: Thresholds,
+    sigma_scale_db: float,
+) -> MatchCandidate:
+    """The candidate for a pair whose text score is known: WiFi scores and verdict."""
+    text_ok = text_score >= thresholds.alpha
+    _, wifi_score = is_wifi_match(
+        a.fingerprint,
+        b.fingerprint,
+        thresholds.beta,
+        thresholds.gamma,
+        sigma_scale_db=sigma_scale_db,
+    )
+    verdict = wifi_verdict(wifi_score, thresholds) if text_ok else Verdict.REJECTED_TEXT
+    return MatchCandidate(a.key, b.key, text_score, wifi_score, verdict)
+
+
 def decide_match(
     a: Keyframe,
     b: Keyframe,
@@ -206,16 +234,7 @@ def decide_match(
     names the rejection.
     """
     text_score = text_similarity(a.text_obs.text, b.text_obs.text)
-    text_ok = text_score >= thresholds.alpha
-    _, wifi_score = is_wifi_match(
-        a.fingerprint,
-        b.fingerprint,
-        thresholds.beta,
-        thresholds.gamma,
-        sigma_scale_db=sigma_scale_db,
-    )
-    verdict = wifi_verdict(wifi_score, thresholds) if text_ok else Verdict.REJECTED_TEXT
-    return MatchCandidate(a.key, b.key, text_score, wifi_score, verdict)
+    return _scored_candidate(a, b, text_score, thresholds, sigma_scale_db)
 
 
 def match_all(
@@ -224,11 +243,21 @@ def match_all(
     *,
     sigma_scale_db: float = DEFAULT_SIGMA_SCALE_DB,
 ) -> list[MatchCandidate]:
-    """Score every candidate pair, in deterministic order."""
-    return [
-        decide_match(a, b, thresholds, sigma_scale_db=sigma_scale_db)
-        for a, b in generate_candidates(keyframes, thresholds)
-    ]
+    """Score every candidate pair, in deterministic order.
+
+    Each candidate equals decide_match on its pair. Keyframes repeat a few
+    sign texts many times over, so each distinct text pair is scored once
+    per call and its score reused.
+    """
+    text_scores: dict[tuple[str, str], float] = {}
+    candidates: list[MatchCandidate] = []
+    for a, b in generate_candidates(keyframes, thresholds):
+        texts = (a.text_obs.text, b.text_obs.text)
+        text_score = text_scores.get(texts)
+        if text_score is None:
+            text_score = text_scores[texts] = text_similarity(*texts)
+        candidates.append(_scored_candidate(a, b, text_score, thresholds, sigma_scale_db))
+    return candidates
 
 
 def connected_components(

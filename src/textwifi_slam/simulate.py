@@ -204,6 +204,7 @@ def simulate_recording(plan: FloorPlan, script: AgentScript) -> Recording:
     noise = script.noise
     rec = Recording(agent_id=script.agent_id)
     local_angles = np.arange(SCAN_RAY_COUNT) * SCAN_RESOLUTION_RAD
+    ap_positions = [ap.position for ap in plan.aps]
     cos_half = math.cos(script.text_detection_half_angle_rad)
     last_attempt: dict[str, float] = {}
 
@@ -243,11 +244,12 @@ def simulate_recording(plan: FloorPlan, script: AgentScript) -> Recording:
             rec.scans.append(ScanEvent(t, PointCloud2(pts, frame_id=script.agent_id)))
 
         if k % wifi_every == 0:
+            receiver = (pose.x, pose.y)
+            crossings = count_wall_crossings(ap_positions, receiver, plan.walls)
             readings = []
-            for ap in plan.aps:
-                walls_crossed = count_wall_crossings(ap.position, (pose.x, pose.y), plan.walls)
+            for ap, walls_crossed in zip(plan.aps, crossings.tolist()):
                 sigma = math.hypot(ap.noise_sigma_db, noise.wifi_sigma_db)
-                rss = predicted_rss(ap, (pose.x, pose.y), walls_crossed)
+                rss = predicted_rss(ap, receiver, walls_crossed)
                 rss += float(rng.standard_normal()) * sigma
                 if rss >= script.wifi_sensitivity_dbm:
                     readings.append((ap.mac, rss))

@@ -4,7 +4,9 @@ comparison of two locations.
 A fingerprint is a map from access-point MAC to the mean RSS of the scans
 around a keyframe. Two fingerprints match when their MAC sets
 overlap enough (threshold beta) and the signal strengths on the shared MACs
-agree (threshold gamma on a normalized similarity).
+agree (threshold gamma on a normalized similarity). A fingerprint builds its
+MAC set once and keeps it, and each compared pair intersects the two sets
+once for both gates.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 log = logging.getLogger(__name__)
@@ -62,8 +65,10 @@ class WifiFingerprint:
     location_id: str
     entries: Mapping[str, float]
 
-    @property
+    @cached_property
     def macs(self) -> frozenset[str]:
+        """The heard MACs, built on first use and kept: every candidate pair
+        a keyframe takes part in compares its MAC set."""
         return frozenset(self.entries)
 
 
@@ -136,23 +141,31 @@ def build_fingerprint(scans: Sequence[WifiScan], *, location_id: str) -> WifiFin
     return WifiFingerprint(location_id=location_id, entries=entries)
 
 
-def mac_similarity(a: WifiFingerprint, b: WifiFingerprint) -> float:
-    """Shared MAC count over the larger MAC count; 0 when both are empty."""
-    macs_a, macs_b = a.macs, b.macs
-    if not macs_a and not macs_b:
+def _mac_overlap(a: WifiFingerprint, b: WifiFingerprint, n_common: int) -> float:
+    larger = max(len(a.macs), len(b.macs))
+    if not larger:
         log.debug("mac_similarity of two empty fingerprints, returning 0")
         return 0.0
-    return len(macs_a & macs_b) / max(len(macs_a), len(macs_b))
+    return n_common / larger
+
+
+def _rss_distance_on(a: WifiFingerprint, b: WifiFingerprint, common: frozenset[str]) -> float:
+    return math.sqrt(sum((a.entries[mac] - b.entries[mac]) ** 2 for mac in sorted(common)))
+
+
+def mac_similarity(a: WifiFingerprint, b: WifiFingerprint) -> float:
+    """Shared MAC count over the larger MAC count; 0 when both are empty."""
+    return _mac_overlap(a, b, len(a.macs & b.macs))
 
 
 def rss_distance(a: WifiFingerprint, b: WifiFingerprint) -> float:
     """Euclidean distance between the RSS vectors on the shared MACs."""
-    common = sorted(a.macs & b.macs)
+    common = a.macs & b.macs
     if not common:
         raise IncomparableFingerprints(
             f"fingerprints {a.location_id!r} and {b.location_id!r} share no access point"
         )
-    return math.sqrt(sum((a.entries[mac] - b.entries[mac]) ** 2 for mac in common))
+    return _rss_distance_on(a, b, common)
 
 
 def rss_similarity(
@@ -190,10 +203,10 @@ def is_wifi_match(
     for name, value in (("beta", beta), ("gamma", gamma)):
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"{name} must be in [0, 1], got {value}")
-    ms = mac_similarity(a, b)
     common = a.macs & b.macs
+    ms = _mac_overlap(a, b, len(common))
     if not common:
         return False, WifiMatchScore(ms, math.inf, 0.0)
-    d = rss_distance(a, b)
+    d = _rss_distance_on(a, b, common)
     sim = rss_similarity(d, len(common), sigma_scale_db)
     return ms >= beta and sim >= gamma, WifiMatchScore(ms, d, sim)

@@ -3,13 +3,16 @@
 A floorplan is a set of wall segments plus the things agents can sense:
 text signs and WiFi access points. The generator builds corridor-and-rooms
 layouts with controlled text duplication, and scripted_scenario bundles a
-plan with agent routes for the named benchmark scenes.
+plan with agent routes for the named benchmark scenes. Raycasting and
+wall-crossing counts test every ray or access point against every wall in
+one array operation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -108,23 +111,29 @@ def raycast(
     return np.where(hits <= max_range_m, hits, np.inf)
 
 
-def count_wall_crossings(a: Point, b: Point, walls: tuple[Wall, ...]) -> int:
-    """Number of walls the open segment from a to b passes through."""
-    starts, ends = _wall_arrays(walls)
-    pa = np.asarray(a, float)
+def count_wall_crossings(
+    sources: Sequence[Point], b: Point, walls: tuple[Wall, ...]
+) -> np.ndarray:
+    """Walls the open segment from each source to b passes through.
+
+    One integer count per source, in source order. Every (source, wall)
+    pair runs the same orientation tests, broadcast over both axes.
+    """
+    starts, ends = _wall_arrays(walls)  # (w, 2)
+    pa = np.asarray(sources, float).reshape(-1, 1, 2)  # (s, 1, 2)
     pb = np.asarray(b, float)
     ab = pb - pa
 
     def cross(v: np.ndarray, w: np.ndarray) -> np.ndarray:
         return v[..., 0] * w[..., 1] - v[..., 1] * w[..., 0]
 
-    d1 = cross(ab, starts - pa)
+    d1 = cross(ab, starts - pa)  # (s, w)
     d2 = cross(ab, ends - pa)
     seg = ends - starts
     d3 = cross(seg, pa - starts)
-    d4 = cross(seg, pb - starts)
+    d4 = cross(seg, pb - starts)  # (w,)
     crossing = (d1 * d2 < 0.0) & (d3 * d4 < 0.0)
-    return int(np.count_nonzero(crossing))
+    return np.count_nonzero(crossing, axis=1)
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,20 @@ class TestExitCodes:
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "values", [{"zero_noise": "false"}, {"alpha": "0.8"}, {"seed": 1.5}]
+    )
+    def test_config_value_of_the_wrong_type_is_a_configuration_error(
+        self, tmp_path, capsys, values
+    ):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(values))
+        out = tmp_path / "o"
+        code = main(["generate", "--config", str(cfg), "--out", str(out)])
+        assert code == 1
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_config_file_is_a_configuration_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"alhpa": 0.9}))

@@ -45,6 +45,31 @@ def test_validate_rejects_out_of_range_values(field, value):
         cfg.validate()
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("zero_noise", "false"),
+        ("sweep", 1),
+        ("alpha", "0.8"),
+        ("sigma_scale_db", True),
+        ("seed", 1.5),
+        ("seed", True),
+        ("icp_max_iterations", 50.0),
+        ("scenario", 1),
+        ("out_dir", None),
+    ],
+)
+def test_validate_rejects_values_of_the_wrong_type(field, value):
+    cfg = RunConfig(**{field: value})
+    with pytest.raises(ValueError, match=f"{field} must be of type"):
+        cfg.validate()
+
+
+def test_float_fields_take_ints():
+    cfg = RunConfig(alpha=1, sigma_scale_db=32, voxel_size_m=0)
+    cfg.validate()
+
+
 def test_scenario_tuning_applies_to_known_scenes():
     # Every known scene runs at the same operating point, held in the defaults.
     for name in ("scene01", "scene02"):

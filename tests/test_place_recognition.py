@@ -1,7 +1,11 @@
 """Keyframe extraction and the text/WiFi gate cascade."""
 
+import dataclasses
+from collections import Counter
+
 import pytest
 
+from textwifi_slam import place_recognition
 from textwifi_slam.place_recognition import (
     Thresholds,
     Verdict,
@@ -12,6 +16,7 @@ from textwifi_slam.place_recognition import (
     verified_locations,
 )
 from textwifi_slam.simulate import AgentScript, simulate_recording
+from textwifi_slam.text_matching import text_similarity
 from textwifi_slam.wifi import build_fingerprint
 from textwifi_slam.world import CorridorTemplate, generate_floorplan
 
@@ -146,6 +151,46 @@ def test_match_all_is_deterministic():
     second = match_all(kfs, th)
     assert first == second
     assert [c.a for c in first] == sorted(c.a for c in first)
+
+
+@pytest.fixture(scope="module")
+def scene02_keyframes():
+    from textwifi_slam.config import config_for_scenario
+    from textwifi_slam.pipeline import extract_all_keyframes, stage_generate, stage_simulate
+
+    cfg = config_for_scenario("scene02", seed=0)
+    return extract_all_keyframes(stage_simulate(*stage_generate(cfg)), cfg)
+
+
+def test_match_all_equals_decide_match_on_every_candidate(scene02_keyframes):
+    th = Thresholds()
+    expected = [
+        decide_match(a, b, th, sigma_scale_db=32.0)
+        for a, b in generate_candidates(scene02_keyframes, th)
+    ]
+    assert match_all(scene02_keyframes, th, sigma_scale_db=32.0) == expected
+
+
+def test_match_all_scores_each_text_pair_once(scene02_keyframes, monkeypatch):
+    calls = Counter()
+
+    def counting(a, b):
+        calls[(a, b)] += 1
+        return text_similarity(a, b)
+
+    monkeypatch.setattr(place_recognition, "text_similarity", counting)
+    th = Thresholds()
+    candidates = match_all(scene02_keyframes, th)
+    texts = {kf.key: kf.text_obs.text for kf in scene02_keyframes}
+    assert set(calls) == {(texts[c.a], texts[c.b]) for c in candidates}
+    assert max(calls.values()) == 1
+    assert len(calls) < len(candidates)
+
+
+def test_extract_rejects_out_of_order_wifi(recording):
+    shuffled = dataclasses.replace(recording, wifi=recording.wifi[::-1])
+    with pytest.raises(ValueError, match="wifi timestamps"):
+        extract_keyframes(shuffled)
 
 
 def test_verified_locations_groups_accepted_pairs():

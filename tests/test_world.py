@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from textwifi_slam.scenarios import scenario_names, scripted_scenario
 from textwifi_slam.wifi import AccessPoint
@@ -44,9 +46,45 @@ def test_raycast_miss_is_inf():
 
 
 def test_wall_crossing_counts():
-    assert count_wall_crossings((2.0, 2.0), (3.0, 3.0), SQUARE) == 0
-    assert count_wall_crossings((2.0, 2.0), (6.0, 2.0), SQUARE) == 1
-    assert count_wall_crossings((-1.0, 2.0), (6.0, 2.0), SQUARE) == 2
+    assert count_wall_crossings([(2.0, 2.0)], (3.0, 3.0), SQUARE).tolist() == [0]
+    sources = [(2.0, 2.0), (-1.0, 2.0), (5.0, 2.0)]
+    assert count_wall_crossings(sources, (6.0, 2.0), SQUARE).tolist() == [1, 2, 0]
+    assert count_wall_crossings([], (6.0, 2.0), SQUARE).tolist() == []
+
+
+def _crossings_one_by_one(sources, b, walls):
+    """Reference: the orientation tests in plain floats, one segment at a time."""
+
+    def cross(vx, vy, wx, wy):
+        return vx * wy - vy * wx
+
+    counts = []
+    for ax, ay in sources:
+        abx, aby = b[0] - ax, b[1] - ay
+        n = 0
+        for (sx, sy), (ex, ey) in walls:
+            d1 = cross(abx, aby, sx - ax, sy - ay)
+            d2 = cross(abx, aby, ex - ax, ey - ay)
+            d3 = cross(ex - sx, ey - sy, ax - sx, ay - sy)
+            d4 = cross(ex - sx, ey - sy, b[0] - sx, b[1] - sy)
+            n += d1 * d2 < 0.0 and d3 * d4 < 0.0
+        counts.append(n)
+    return counts
+
+
+coordinates = st.floats(-20.0, 20.0, allow_nan=False, allow_infinity=False)
+points = st.tuples(coordinates, coordinates)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sources=st.lists(points, max_size=8),
+    receiver=points,
+    walls=st.lists(st.tuples(points, points), min_size=1, max_size=12),
+)
+def test_batched_crossings_equal_the_per_segment_reference(sources, receiver, walls):
+    counts = count_wall_crossings(sources, receiver, tuple(walls))
+    assert counts.tolist() == _crossings_one_by_one(sources, receiver, walls)
 
 
 def test_template_derived_dimensions():
