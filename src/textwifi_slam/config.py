@@ -1,10 +1,16 @@
 """Run configuration: defaults, file and flag overlays.
 
+A run varies only the settings held here: the scene and seed, the three
+gate thresholds, the world's duplicate-text count and noise switch, the
+artifact directory and the threshold sweep. Every other value of the
+operating point (RSS kernel scale, fingerprint window, revisit separation,
+ICP and optimizer settings) is a constant in the module that uses it.
+
 Precedence, lowest to highest: dataclass defaults, config file,
-command-line flags. The defaults are the operating point of the scripted
-scenes; validation rejects values no stage can run with, including a
-value of the wrong type and a scenario name the scenarios module does not
-know.
+command-line flags. Validation rejects values no stage can run with,
+including a value of the wrong type and a scenario name the scenarios
+module does not know. A config file or override naming a key that is not
+a field here is rejected whole, so none is silently ignored.
 """
 
 from __future__ import annotations
@@ -30,27 +36,10 @@ class RunConfig:
     alpha: float = 0.8
     beta: float = 0.8
     gamma: float = 0.8
-    min_loop_separation_s: float = 30.0
-    # The scenes space access points about a room apart, so same-place
-    # fingerprints taken a couple of meters apart differ by 10-23 dB while
-    # different-place ones sit above 27 dB; the 32 dB kernel puts the gate
-    # threshold inside that gap, where wifi's 10 dB library default would
-    # reject most genuine revisits.
-    sigma_scale_db: float = 32.0
-    fingerprint_window_s: float = 3.0
-    # Scan registration. Cross-agent registration starts from drifted
-    # odometry, hence a correspondence radius wider than icp's 1 m default.
-    icp_max_iterations: int = 50
-    icp_correspondence_radius_m: float = 2.0
-    icp_tolerance: float = 1e-5
-    # Pose-graph optimization.
-    optimizer_max_iterations: int = 50
-    robust_kernel_scale: float = 1.0
     # World generation and simulation.
     duplicate_text_count: int = 3
     zero_noise: bool = False
     # Outputs.
-    voxel_size_m: float = 0.0
     sweep: bool = False
 
     def validate(self) -> None:
@@ -67,37 +56,14 @@ class RunConfig:
             raise ValueError(
                 f"unknown scenario {self.scenario!r}, known: {', '.join(scenario_names())}"
             )
-        for name in ("alpha", "beta", "gamma"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
+        self.thresholds()  # Thresholds owns the [0, 1] rule for alpha, beta and gamma.
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        for name in (
-            "min_loop_separation_s",
-            "sigma_scale_db",
-            "fingerprint_window_s",
-            "icp_correspondence_radius_m",
-            "icp_tolerance",
-            "robust_kernel_scale",
-        ):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("icp_max_iterations", "optimizer_max_iterations"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
         if self.duplicate_text_count < 0:
             raise ValueError("duplicate_text_count must be non-negative")
-        if self.voxel_size_m < 0.0:
-            raise ValueError("voxel_size_m must be non-negative")
 
     def thresholds(self) -> Thresholds:
-        return Thresholds(
-            alpha=self.alpha,
-            beta=self.beta,
-            gamma=self.gamma,
-            min_loop_separation_s=self.min_loop_separation_s,
-        )
+        return Thresholds(alpha=self.alpha, beta=self.beta, gamma=self.gamma)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

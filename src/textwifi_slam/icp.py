@@ -21,7 +21,9 @@ from .geometry import Pose2, PointCloud2, normalize_angle
 log = logging.getLogger(__name__)
 
 DEFAULT_MAX_ITERATIONS = 50
-DEFAULT_CORRESPONDENCE_RADIUS_M = 1.0
+# Cross-agent registration starts from drifted odometry, so source points
+# can sit well over a meter from their true neighbours on the first pass.
+DEFAULT_CORRESPONDENCE_RADIUS_M = 2.0
 DEFAULT_TOLERANCE = 1e-5
 
 

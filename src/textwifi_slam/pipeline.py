@@ -28,6 +28,7 @@ from .evaluation import (
 )
 from .geometry import PointCloud2, Pose2
 from .place_recognition import (
+    MIN_LOOP_SEPARATION_S,
     Keyframe,
     MatchCandidate,
     NodeKey,
@@ -46,6 +47,7 @@ from .pose_graph import (
 )
 from .scenarios import scripted_scenario
 from .simulate import AgentScript, Recording, simulate_recording
+from .wifi import SIGMA_SCALE_DB
 from .world import FloorPlan
 
 log = logging.getLogger(__name__)
@@ -94,16 +96,10 @@ def stage_simulate(plan: FloorPlan, scripts: list[AgentScript]) -> dict[str, Rec
     return {script.agent_id: simulate_recording(plan, script) for script in scripts}
 
 
-def extract_all_keyframes(
-    recordings: Mapping[str, Recording], cfg: RunConfig
-) -> list[Keyframe]:
+def extract_all_keyframes(recordings: Mapping[str, Recording]) -> list[Keyframe]:
     keyframes: list[Keyframe] = []
     for agent_id in sorted(recordings):
-        keyframes.extend(
-            extract_keyframes(
-                recordings[agent_id], fingerprint_window_s=cfg.fingerprint_window_s
-            )
-        )
+        keyframes.extend(extract_keyframes(recordings[agent_id]))
     return keyframes
 
 
@@ -115,8 +111,8 @@ def stage_match(
     Every candidate carries the scores of every gate, so the evaluation
     stage can re-threshold it.
     """
-    keyframes = extract_all_keyframes(recordings, cfg)
-    candidates = match_all(keyframes, cfg.thresholds(), sigma_scale_db=cfg.sigma_scale_db)
+    keyframes = extract_all_keyframes(recordings)
+    candidates = match_all(keyframes, cfg.thresholds())
     return keyframes, candidates, verified_locations(candidates)
 
 
@@ -127,25 +123,16 @@ def stage_align(result: PipelineResult) -> None:
     whose worker processes have exited when this returns. Fills graph,
     initial, optimized, stats, graph_summary and merged.
     """
-    cfg = result.config
     by_key = result.keyframes_by_key
     accepted = [c for c in result.candidates if c.verdict is Verdict.ACCEPTED]
     registrations = register_keyframe_pairs(
-        [(by_key[cand.a], by_key[cand.b]) for cand in accepted],
-        max_iterations=cfg.icp_max_iterations,
-        correspondence_radius_m=cfg.icp_correspondence_radius_m,
-        tolerance=cfg.icp_tolerance,
+        [(by_key[cand.a], by_key[cand.b]) for cand in accepted]
     )
     graph = build_pose_graph(result.keyframes, list(zip(accepted, registrations)))
     if not graph.loop_edges:
         log.warning("no usable loop closures; agents stay in their own odometry frames")
     result.graph, result.initial = graph, dict(graph.nodes)
-    result.optimized, result.stats = optimize_pose_graph(
-        graph,
-        max_outer_iterations=cfg.optimizer_max_iterations,
-        robust_kernel_scale=cfg.robust_kernel_scale,
-        return_stats=True,
-    )
+    result.optimized, result.stats = optimize_pose_graph(graph, return_stats=True)
     # The graph diagnostics that survive a round-trip through files.
     result.graph_summary = {
         "loop_edge_count": len(graph.loop_edges),
@@ -153,7 +140,7 @@ def stage_align(result: PipelineResult) -> None:
         "objective_initial": result.stats.initial_objective,
         "objective_final": result.stats.final_objective,
     }
-    result.merged = merge_maps(result.optimized, result.keyframes, voxel_size_m=cfg.voxel_size_m)
+    result.merged = merge_maps(result.optimized, result.keyframes)
 
 
 def _metrics_from_pr(report: ScoreReport) -> dict:
@@ -265,8 +252,14 @@ def _write_simulate(result: PipelineResult, out_dir: Path) -> None:
 
 
 def _write_match(result: PipelineResult, out_dir: Path) -> None:
-    keys = ("alpha", "beta", "gamma", "min_loop_separation_s", "sigma_scale_db")
-    settings = {key: getattr(result.config, key) for key in keys}
+    cfg = result.config
+    settings = {
+        "alpha": cfg.alpha,
+        "beta": cfg.beta,
+        "gamma": cfg.gamma,
+        "min_loop_separation_s": MIN_LOOP_SEPARATION_S,
+        "sigma_scale_db": SIGMA_SCALE_DB,
+    }
     io_formats.save_match_report(
         out_dir / MATCH_REPORT_FILE, result.candidates, result.verified, settings
     )
@@ -297,7 +290,7 @@ def _read_align_inputs(cfg: RunConfig, out_dir: Path) -> PipelineResult:
     result = PipelineResult(config=cfg, recordings=io_formats.load_recordings(out_dir))
     report = out_dir / MATCH_REPORT_FILE
     result.candidates, result.verified = io_formats.load_match_report(report)
-    result.keyframes = extract_all_keyframes(result.recordings, cfg)
+    result.keyframes = extract_all_keyframes(result.recordings)
     return result
 
 

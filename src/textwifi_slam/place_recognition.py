@@ -17,19 +17,18 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .geometry import Pose2, PointCloud2
-from .simulate import Recording, integrate_odometry
+from .simulate import Recording, integrate_odometry, nearest_index
 from .text_matching import TextObservation, text_similarity
-from .wifi import (
-    DEFAULT_SIGMA_SCALE_DB,
-    WifiFingerprint,
-    WifiMatchScore,
-    build_fingerprint,
-    is_wifi_match,
-)
+from .wifi import WifiFingerprint, WifiMatchScore, build_fingerprint, is_wifi_match
 
 NodeKey = tuple[str, int]  # (agent_id, keyframe_id)
 
-DEFAULT_FINGERPRINT_WINDOW_S = 3.0
+# A keyframe's fingerprint averages the WiFi sweeps within half this
+# window of its anchor.
+FINGERPRINT_WINDOW_S = 3.0
+# Two keyframes of one agent are a revisit candidate only this far apart in
+# time, so successive sightings of one sign are not proposed as loops.
+MIN_LOOP_SEPARATION_S = 30.0
 # The bisected fingerprint window is widened by this much, far more than any
 # rounding of the bounds, so the exact distance test alone decides membership.
 _WINDOW_SLACK_S = 1e-6
@@ -46,20 +45,17 @@ class Verdict(str, enum.Enum):
 
 @dataclass(frozen=True)
 class Thresholds:
-    """Gate thresholds plus the intra-agent revisit separation."""
+    """The three gate thresholds: text (alpha), MAC overlap (beta), RSS (gamma)."""
 
     alpha: float = 0.8
     beta: float = 0.8
     gamma: float = 0.8
-    min_loop_separation_s: float = 30.0
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "gamma"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
-        if self.min_loop_separation_s < 0.0:
-            raise ValueError("min_loop_separation_s must be non-negative")
 
 
 def wifi_verdict(score: WifiMatchScore, thresholds: Thresholds) -> Verdict:
@@ -109,34 +105,25 @@ class MatchCandidate:
     verdict: Verdict
 
 
-def extract_keyframes(
-    recording: Recording,
-    *,
-    fingerprint_window_s: float = DEFAULT_FINGERPRINT_WINDOW_S,
-) -> list[Keyframe]:
+def extract_keyframes(recording: Recording) -> list[Keyframe]:
     """One keyframe per text observation in the recording.
 
     Empty detections never reach this point (the simulator drops them), but
     are skipped defensively. A keyframe with no WiFi scan in its window gets
-    an empty fingerprint and will be rejected at the MAC gate.
+    an empty fingerprint and will be rejected at the MAC gate. Scans,
+    odometry and WiFi sweeps are looked up by bisecting their timestamps,
+    so a channel out of time order raises ValueError.
     """
-    if fingerprint_window_s <= 0.0:
-        raise ValueError("fingerprint window must be positive")
     odom = integrate_odometry(recording)
     odom_times = [t for t, _ in odom]
     scan_times = [s.timestamp for s in recording.scans]
     wifi_times = [w.timestamp for w in recording.wifi]
-    if any(later < earlier for earlier, later in zip(wifi_times, wifi_times[1:])):
-        raise ValueError(f"recording {recording.agent_id}: wifi timestamps are out of order")
-    half = fingerprint_window_s / 2.0
-
-    def nearest_index(times: list[float], t: float) -> int:
-        i = bisect_left(times, t)
-        if i == 0:
-            return 0
-        if i == len(times):
-            return len(times) - 1
-        return i - 1 if t - times[i - 1] <= times[i] - t else i
+    for channel, times in (("odometry", odom_times), ("scan", scan_times), ("wifi", wifi_times)):
+        if any(later < earlier for earlier, later in zip(times, times[1:])):
+            raise ValueError(
+                f"recording {recording.agent_id}: {channel} timestamps are out of order"
+            )
+    half = FINGERPRINT_WINDOW_S / 2.0
 
     keyframes: list[Keyframe] = []
     for obs in recording.texts:
@@ -178,14 +165,11 @@ def extract_keyframes(
     return keyframes
 
 
-def generate_candidates(
-    keyframes: Sequence[Keyframe],
-    thresholds: Thresholds,
-) -> list[tuple[Keyframe, Keyframe]]:
+def generate_candidates(keyframes: Sequence[Keyframe]) -> list[tuple[Keyframe, Keyframe]]:
     """Unordered candidate pairs worth scoring.
 
     Every cross-agent pair of keyframes is a candidate; pairs from one agent
-    only qualify as revisits once they are at least min_loop_separation_s
+    only qualify as revisits once they are at least MIN_LOOP_SEPARATION_S
     apart. Order is deterministic.
     """
     ordered = sorted(keyframes, key=lambda kf: kf.key)
@@ -193,7 +177,7 @@ def generate_candidates(
     for i, a in enumerate(ordered):
         for b in ordered[i + 1:]:
             if a.agent_id == b.agent_id:
-                if abs(a.timestamp - b.timestamp) >= thresholds.min_loop_separation_s:
+                if abs(a.timestamp - b.timestamp) >= MIN_LOOP_SEPARATION_S:
                     pairs.append((a, b))
             else:
                 pairs.append((a, b))
@@ -205,28 +189,15 @@ def _scored_candidate(
     b: Keyframe,
     text_score: float,
     thresholds: Thresholds,
-    sigma_scale_db: float,
 ) -> MatchCandidate:
     """The candidate for a pair whose text score is known: WiFi scores and verdict."""
     text_ok = text_score >= thresholds.alpha
-    _, wifi_score = is_wifi_match(
-        a.fingerprint,
-        b.fingerprint,
-        thresholds.beta,
-        thresholds.gamma,
-        sigma_scale_db=sigma_scale_db,
-    )
+    _, wifi_score = is_wifi_match(a.fingerprint, b.fingerprint, thresholds.beta, thresholds.gamma)
     verdict = wifi_verdict(wifi_score, thresholds) if text_ok else Verdict.REJECTED_TEXT
     return MatchCandidate(a.key, b.key, text_score, wifi_score, verdict)
 
 
-def decide_match(
-    a: Keyframe,
-    b: Keyframe,
-    thresholds: Thresholds,
-    *,
-    sigma_scale_db: float = DEFAULT_SIGMA_SCALE_DB,
-) -> MatchCandidate:
+def decide_match(a: Keyframe, b: Keyframe, thresholds: Thresholds) -> MatchCandidate:
     """Run the gate cascade on one candidate pair.
 
     Every gate is scored, also on pairs the text gate rejects, so the
@@ -234,15 +205,10 @@ def decide_match(
     names the rejection.
     """
     text_score = text_similarity(a.text_obs.text, b.text_obs.text)
-    return _scored_candidate(a, b, text_score, thresholds, sigma_scale_db)
+    return _scored_candidate(a, b, text_score, thresholds)
 
 
-def match_all(
-    keyframes: Sequence[Keyframe],
-    thresholds: Thresholds,
-    *,
-    sigma_scale_db: float = DEFAULT_SIGMA_SCALE_DB,
-) -> list[MatchCandidate]:
+def match_all(keyframes: Sequence[Keyframe], thresholds: Thresholds) -> list[MatchCandidate]:
     """Score every candidate pair, in deterministic order.
 
     Each candidate equals decide_match on its pair. Keyframes repeat a few
@@ -251,12 +217,12 @@ def match_all(
     """
     text_scores: dict[tuple[str, str], float] = {}
     candidates: list[MatchCandidate] = []
-    for a, b in generate_candidates(keyframes, thresholds):
+    for a, b in generate_candidates(keyframes):
         texts = (a.text_obs.text, b.text_obs.text)
         text_score = text_scores.get(texts)
         if text_score is None:
             text_score = text_scores[texts] = text_similarity(*texts)
-        candidates.append(_scored_candidate(a, b, text_score, thresholds, sigma_scale_db))
+        candidates.append(_scored_candidate(a, b, text_score, thresholds))
     return candidates
 
 

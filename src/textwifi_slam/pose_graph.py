@@ -38,7 +38,9 @@ log = logging.getLogger(__name__)
 ODOMETRY_WEIGHT = 1.0
 LOOP_WEIGHT_FLOOR = 1e-6
 DEFAULT_MAX_OUTER_ITERATIONS = 50
-DEFAULT_ROBUST_KERNEL_SCALE = 1.0
+# Huber kernel width on a loop or odometry residual's norm: residuals up to
+# this are weighted quadratically, larger ones only linearly.
+ROBUST_KERNEL_SCALE = 1.0
 
 # A registration only short-circuits the rotation sweep when its mean
 # squared error is this fraction of the squared correspondence radius or
@@ -388,19 +390,16 @@ def optimize_pose_graph(
     graph: PoseGraph,
     *,
     max_outer_iterations: int = DEFAULT_MAX_OUTER_ITERATIONS,
-    robust_kernel_scale: float = DEFAULT_ROBUST_KERNEL_SCALE,
     return_stats: bool = False,
 ):
     """Optimize node poses; returns {key: Pose2} (plus stats if asked).
 
     Disconnected graphs are solved one component at a time, each with its
     own first node pinned as the gauge, so agents that never matched stay in
-    their own odometry frames.
+    their own odometry frames. The Huber kernel is ROBUST_KERNEL_SCALE wide.
     """
     if max_outer_iterations < 1:
         raise ValueError("max_outer_iterations must be at least 1")
-    if robust_kernel_scale <= 0.0:
-        raise ValueError("robust kernel scale must be positive")
     for edge in graph.edges:
         if edge.a not in graph.nodes or edge.b not in graph.nodes:
             raise ValueError(f"edge {edge.a}-{edge.b} references a missing node")
@@ -413,7 +412,7 @@ def optimize_pose_graph(
     result: dict[NodeKey, Pose2] = {}
     stats = OptimizeStats()
     for keys in components:
-        problem = _ComponentProblem(keys, graph, robust_kernel_scale)
+        problem = _ComponentProblem(keys, graph, ROBUST_KERNEL_SCALE)
         solution, history = _optimize_component(problem, max_outer_iterations)
         stats.objective_histories.append(history)
         for key, row in zip(keys, solution):
@@ -424,18 +423,10 @@ def optimize_pose_graph(
 
 
 def merge_maps(
-    optimized: Mapping[NodeKey, Pose2],
-    keyframes: Sequence[Keyframe],
-    *,
-    voxel_size_m: float = 0.0,
+    optimized: Mapping[NodeKey, Pose2], keyframes: Sequence[Keyframe]
 ) -> PointCloud2:
-    """Project every keyframe scan through its optimized pose and concatenate.
-
-    With voxel_size_m > 0 the cloud is thinned to one point per grid cell,
-    keeping the first point seen in deterministic keyframe order.
-    """
-    if voxel_size_m < 0.0:
-        raise ValueError("voxel size must be non-negative")
+    """Project every keyframe scan through its optimized pose and concatenate,
+    in keyframe order; a keyframe with no optimized pose or no scan adds nothing."""
     parts = []
     for kf in sorted(keyframes, key=lambda k: k.key):
         pose = optimized.get(kf.key)
@@ -444,9 +435,4 @@ def merge_maps(
         parts.append(transform_points(pose, kf.scan.points))
     if not parts:
         return PointCloud2(np.zeros((0, 2)), frame_id="merged")
-    points = np.concatenate(parts, axis=0)
-    if voxel_size_m > 0.0:
-        cells = np.floor(points / voxel_size_m).astype(np.int64)
-        _, first_idx = np.unique(cells, axis=0, return_index=True)
-        points = points[np.sort(first_idx)]
-    return PointCloud2(points, frame_id="merged")
+    return PointCloud2(np.concatenate(parts, axis=0), frame_id="merged")

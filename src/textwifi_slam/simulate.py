@@ -10,9 +10,9 @@ the script and the seed.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -122,22 +122,24 @@ class Recording:
         """Ground-truth pose at the truth sample nearest to timestamp."""
         if not self.truth:
             raise ValueError("recording has no truth samples")
-        times = [s.timestamp for s in self.truth]
-        i = bisect_right(times, timestamp)
-        if i == 0:
-            return self.truth[0].pose
-        if i == len(times):
-            return self.truth[-1].pose
-        before, after = self.truth[i - 1], self.truth[i]
-        if timestamp - before.timestamp <= after.timestamp - timestamp:
-            return before.pose
-        return after.pose
+        return self.truth[nearest_index([s.timestamp for s in self.truth], timestamp)].pose
 
     def travel_distance_m(self) -> float:
         total = 0.0
         for a, b in zip(self.truth, self.truth[1:]):
             total += math.hypot(b.pose.x - a.pose.x, b.pose.y - a.pose.y)
         return total
+
+
+def nearest_index(times: Sequence[float], t: float) -> int:
+    """Index of the entry of sorted, non-empty times nearest to t; the
+    earlier one on a tie."""
+    i = bisect_left(times, t)
+    if i == 0:
+        return 0
+    if i == len(times):
+        return len(times) - 1
+    return i - 1 if t - times[i - 1] <= times[i] - t else i
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,12 @@ log = logging.getLogger(__name__)
 # treated as being at this distance.
 MIN_PATH_LOSS_DISTANCE_M = 0.1
 
-DEFAULT_SIGMA_SCALE_DB = 10.0
+# The RSS kernel scale. The scenes space access points about a room apart,
+# so same-place fingerprints taken a couple of meters apart differ by
+# 10-23 dB while different-place ones sit above 27 dB; a 32 dB kernel puts
+# the gate threshold inside that gap, where 10 dB would reject most genuine
+# revisits.
+SIGMA_SCALE_DB = 32.0
 
 
 class IncomparableFingerprints(ValueError):
@@ -168,23 +173,17 @@ def rss_distance(a: WifiFingerprint, b: WifiFingerprint) -> float:
     return _rss_distance_on(a, b, common)
 
 
-def rss_similarity(
-    distance_db: float,
-    n_common: int,
-    sigma_scale_db: float = DEFAULT_SIGMA_SCALE_DB,
-) -> float:
+def rss_similarity(distance_db: float, n_common: int) -> float:
     """Map an RSS distance to (0, 1], normalized by the shared MAC count.
 
-    exp(-d / (sigma_scale * sqrt(n))) so the score is comparable across pairs
-    with different numbers of shared APs.
+    exp(-d / (SIGMA_SCALE_DB * sqrt(n))) so the score is comparable across
+    pairs with different numbers of shared APs.
     """
     if distance_db < 0.0:
         raise ValueError("RSS distance must be non-negative")
     if n_common < 1:
         raise ValueError("need at least one shared MAC")
-    if sigma_scale_db <= 0.0:
-        raise ValueError("sigma scale must be positive")
-    return math.exp(-distance_db / (sigma_scale_db * math.sqrt(n_common)))
+    return math.exp(-distance_db / (SIGMA_SCALE_DB * math.sqrt(n_common)))
 
 
 def is_wifi_match(
@@ -192,8 +191,6 @@ def is_wifi_match(
     b: WifiFingerprint,
     beta: float,
     gamma: float,
-    *,
-    sigma_scale_db: float = DEFAULT_SIGMA_SCALE_DB,
 ) -> tuple[bool, WifiMatchScore]:
     """Two-stage WiFi gate: MAC overlap first, then RSS agreement.
 
@@ -208,5 +205,5 @@ def is_wifi_match(
     if not common:
         return False, WifiMatchScore(ms, math.inf, 0.0)
     d = _rss_distance_on(a, b, common)
-    sim = rss_similarity(d, len(common), sigma_scale_db)
+    sim = rss_similarity(d, len(common))
     return ms >= beta and sim >= gamma, WifiMatchScore(ms, d, sim)

@@ -65,6 +65,33 @@ class TestExitCodes:
         assert code == 1
         assert "alhpa" in capsys.readouterr().err
 
+    def test_directory_with_removed_settings_is_a_configuration_error(self, tmp_path, capsys):
+        # A config.json written while these values were still run settings;
+        # they are module constants now.
+        removed = {
+            "min_loop_separation_s": 30.0,
+            "sigma_scale_db": 32.0,
+            "fingerprint_window_s": 3.0,
+            "icp_max_iterations": 50,
+            "icp_correspondence_radius_m": 2.0,
+            "icp_tolerance": 1e-05,
+            "optimizer_max_iterations": 50,
+            "robust_kernel_scale": 1.0,
+            "voxel_size_m": 0.0,
+        }
+        out = tmp_path / "o"
+        assert main(["simulate", "--out", str(out), "--seed", "1"]) == 0
+        settings = json.loads((out / "config.json").read_text())
+        (out / "config.json").write_text(json.dumps({**settings, **removed}))
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+
+        assert main(["match", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert f"unknown config keys: {', '.join(sorted(removed))}" in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_match_without_recordings_is_a_pipeline_error(self, tmp_path, capsys):
         out = tmp_path / "o"
         out.mkdir()
@@ -97,8 +124,11 @@ def test_generate_writes_world_and_settings(tmp_path, capsys):
         assert main(["generate", "--out", str(scene_out), "--scenario", scenario]) == 0
         cfg = json.loads((scene_out / "config.json").read_text())
         assert cfg["scenario"] == scenario
-        assert cfg["sigma_scale_db"] == 32.0
-        assert cfg["icp_correspondence_radius_m"] == 2.0
+        # Every run setting but out_dir; fixed values are module constants.
+        assert sorted(cfg) == [
+            "alpha", "beta", "duplicate_text_count", "gamma", "scenario", "seed", "sweep",
+            "zero_noise",
+        ]
 
 
 def test_staged_run_matches_run_all_byte_for_byte(tmp_path):
@@ -142,6 +172,15 @@ def test_run_all_reports_the_headline_numbers(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "fused precision" in printed
     assert "end-point error" in printed
+
+    report = json.loads((out / "match_report.json").read_text())
+    assert report["settings"] == {
+        "alpha": 0.8,
+        "beta": 0.8,
+        "gamma": 0.8,
+        "min_loop_separation_s": 30.0,
+        "sigma_scale_db": 32.0,
+    }
 
     metrics = json.loads((out / "metrics.json").read_text())
     assert metrics["seed"] == 1

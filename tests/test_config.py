@@ -5,6 +5,13 @@ import json
 import pytest
 
 from textwifi_slam.config import RunConfig, build_config, config_for_scenario, load_config_file
+from textwifi_slam.place_recognition import Thresholds
+
+# Every setting a run may vary, and so every key a config file may hold.
+SETTINGS = (
+    "scenario", "seed", "out_dir", "alpha", "beta", "gamma",
+    "duplicate_text_count", "zero_noise", "sweep",
+)
 
 
 def test_defaults_are_self_consistent():
@@ -12,15 +19,12 @@ def test_defaults_are_self_consistent():
     cfg.validate()
     assert cfg.scenario == "scene01"
     assert (cfg.alpha, cfg.beta, cfg.gamma) == (0.8, 0.8, 0.8)
-    assert cfg.sigma_scale_db == 32.0
-    assert cfg.icp_correspondence_radius_m == 2.0
+    assert sorted(cfg.to_dict()) == sorted(SETTINGS)
 
 
 def test_thresholds_view_carries_the_gate_values():
-    cfg = RunConfig(alpha=0.7, beta=0.75, gamma=0.9, min_loop_separation_s=12.0)
-    th = cfg.thresholds()
-    assert (th.alpha, th.beta, th.gamma) == (0.7, 0.75, 0.9)
-    assert th.min_loop_separation_s == 12.0
+    cfg = RunConfig(alpha=0.7, beta=0.75, gamma=0.9)
+    assert cfg.thresholds() == Thresholds(alpha=0.7, beta=0.75, gamma=0.9)
 
 
 @pytest.mark.parametrize(
@@ -28,14 +32,9 @@ def test_thresholds_view_carries_the_gate_values():
     [
         ("alpha", 1.5),
         ("beta", -0.1),
+        ("gamma", 2.0),
         ("seed", -1),
-        ("sigma_scale_db", 0.0),
-        ("icp_tolerance", -1e-9),
-        ("icp_max_iterations", 0),
-        ("optimizer_max_iterations", 0),
         ("duplicate_text_count", -2),
-        ("voxel_size_m", -0.1),
-        ("fingerprint_window_s", 0.0),
         ("scenario", "bench"),
     ],
 )
@@ -51,10 +50,10 @@ def test_validate_rejects_out_of_range_values(field, value):
         ("zero_noise", "false"),
         ("sweep", 1),
         ("alpha", "0.8"),
-        ("sigma_scale_db", True),
+        ("gamma", True),
         ("seed", 1.5),
         ("seed", True),
-        ("icp_max_iterations", 50.0),
+        ("duplicate_text_count", 3.0),
         ("scenario", 1),
         ("out_dir", None),
     ],
@@ -66,17 +65,14 @@ def test_validate_rejects_values_of_the_wrong_type(field, value):
 
 
 def test_float_fields_take_ints():
-    cfg = RunConfig(alpha=1, sigma_scale_db=32, voxel_size_m=0)
+    cfg = RunConfig(alpha=1, beta=0, gamma=1)
     cfg.validate()
 
 
 def test_scenario_tuning_applies_to_known_scenes():
     # Every known scene runs at the same operating point, held in the defaults.
     for name in ("scene01", "scene02"):
-        cfg = config_for_scenario(name)
-        assert cfg.scenario == name
-        assert cfg.sigma_scale_db == 32.0
-        assert cfg.icp_correspondence_radius_m == 2.0
+        assert config_for_scenario(name) == RunConfig(scenario=name)
 
 
 def test_flags_override_file_which_overrides_tuning(tmp_path):
@@ -85,7 +81,7 @@ def test_flags_override_file_which_overrides_tuning(tmp_path):
 
     cfg = build_config(config_path=path)
     assert cfg.scenario == "scene02"
-    assert cfg.sigma_scale_db == 32.0  # the default, which the file leaves alone
+    assert cfg.beta == 0.8  # the default, which the file leaves alone
     assert cfg.alpha == 0.6
     assert cfg.seed == 4
 
@@ -95,21 +91,22 @@ def test_flags_override_file_which_overrides_tuning(tmp_path):
 
 
 
-def test_file_can_retune_a_tuned_value(tmp_path):
+def test_file_cannot_set_a_module_constant(tmp_path):
+    # The RSS kernel scale is wifi.SIGMA_SCALE_DB, not a run setting.
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"scenario": "scene01", "sigma_scale_db": 20.0}))
-    assert build_config(config_path=path).sigma_scale_db == 20.0
+    with pytest.raises(ValueError, match="unknown config keys: sigma_scale_db"):
+        build_config(config_path=path)
 
 
 def test_scenario_flag_decides_which_tuning_applies(tmp_path):
     # The file names scene01 and retunes a value; the flag switches the
     # scenario. The flag decides the scenario, and the file's values stay.
     path = tmp_path / "run.json"
-    path.write_text(json.dumps({"scenario": "scene01", "alpha": 0.6, "sigma_scale_db": 20.0}))
+    path.write_text(json.dumps({"scenario": "scene01", "alpha": 0.6}))
     cfg = build_config(config_path=path, flag_overrides={"scenario": "scene02"})
     assert cfg.scenario == "scene02"
     assert cfg.alpha == 0.6
-    assert cfg.sigma_scale_db == 20.0
 
 
 def test_unknown_keys_are_rejected(tmp_path):

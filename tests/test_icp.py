@@ -222,21 +222,22 @@ def test_multistart_requires_initial_guesses(corridor_cloud):
 
 @pytest.fixture(scope="module")
 def scene01_pairs():
-    """About twenty accepted keyframe pairs of scene01 seed 0, and their config."""
+    """About twenty accepted keyframe pairs of scene01 seed 0."""
     cfg = config_for_scenario("scene01", seed=0)
     recordings = pipeline.stage_simulate(*pipeline.stage_generate(cfg))
     keyframes, candidates, _ = pipeline.stage_match(recordings, cfg)
     by_key = {kf.key: kf for kf in keyframes}
     accepted = [c for c in candidates if c.verdict is Verdict.ACCEPTED]
-    return cfg, [(by_key[c.a], by_key[c.b]) for c in accepted[::33]]
+    return [(by_key[c.a], by_key[c.b]) for c in accepted[::33]]
 
 
 def test_kernel_matches_the_svd_loop_on_scene_pairs(scene01_pairs, monkeypatch):
-    cfg, pairs = scene01_pairs
+    pairs = scene01_pairs
+    # The settings the align stage runs with: the icp defaults.
     kwargs = dict(
-        max_iterations=cfg.icp_max_iterations,
-        correspondence_radius_m=cfg.icp_correspondence_radius_m,
-        tolerance=cfg.icp_tolerance,
+        max_iterations=icp.DEFAULT_MAX_ITERATIONS,
+        correspondence_radius_m=icp.DEFAULT_CORRESPONDENCE_RADIUS_M,
+        tolerance=icp.DEFAULT_TOLERANCE,
     )
 
     def run(register) -> tuple[list[IcpResult], list[list[IcpResult]]]:

@@ -50,12 +50,9 @@ def test_keyframes_are_anchored_at_scan_instants(recording):
 
 
 def test_fingerprint_windows_center_on_the_scan_anchor(recording):
-    window_s = 3.0
-    for kf in extract_keyframes(recording, fingerprint_window_s=window_s):
-        nearby = [
-            w for w in recording.wifi
-            if abs(w.timestamp - kf.timestamp) <= window_s / 2.0 + 1e-9
-        ]
+    half = place_recognition.FINGERPRINT_WINDOW_S / 2.0
+    for kf in extract_keyframes(recording):
+        nearby = [w for w in recording.wifi if abs(w.timestamp - kf.timestamp) <= half + 1e-9]
         expected = build_fingerprint(nearby, location_id=kf.fingerprint.location_id)
         assert kf.fingerprint == expected
 
@@ -68,13 +65,8 @@ def test_keyframe_pose_comes_from_integrated_odometry(recording):
         assert kf.odom_pose == trail[kf.timestamp]
 
 
-def test_extract_rejects_bad_window(recording):
-    with pytest.raises(ValueError):
-        extract_keyframes(recording, fingerprint_window_s=0.0)
-
-
 def test_candidate_pairing_rules():
-    th = Thresholds(min_loop_separation_s=30.0)
+    assert place_recognition.MIN_LOOP_SEPARATION_S == 30.0
     kfs = [
         make_keyframe("a0", 0, 0.0),
         make_keyframe("a0", 1, 10.0),
@@ -82,7 +74,7 @@ def test_candidate_pairing_rules():
         make_keyframe("a1", 0, 5.0),
         make_keyframe("a1", 1, 100.0),
     ]
-    pairs = generate_candidates(kfs, th)
+    pairs = generate_candidates(kfs)
     keys = {(a.key, b.key) for a, b in pairs}
     # Same agent: only revisits separated by at least the loop gap.
     assert (("a0", 0), ("a0", 1)) not in keys
@@ -116,7 +108,7 @@ def test_gate_cascade_verdicts():
     far_rss = make_keyframe(
         "a1", 3, 0.0, text="ROOM A-101", rss={"ap00": -20.0, "ap01": -90.0}
     )
-    out = decide_match(a, far_rss, th, sigma_scale_db=10.0)
+    out = decide_match(a, far_rss, th)
     assert out.verdict == Verdict.REJECTED_RSS
     assert out.wifi_score.mac_similarity == 1.0
 
@@ -158,17 +150,13 @@ def scene02_keyframes():
     from textwifi_slam.config import config_for_scenario
     from textwifi_slam.pipeline import extract_all_keyframes, stage_generate, stage_simulate
 
-    cfg = config_for_scenario("scene02", seed=0)
-    return extract_all_keyframes(stage_simulate(*stage_generate(cfg)), cfg)
+    return extract_all_keyframes(stage_simulate(*stage_generate(config_for_scenario("scene02"))))
 
 
 def test_match_all_equals_decide_match_on_every_candidate(scene02_keyframes):
     th = Thresholds()
-    expected = [
-        decide_match(a, b, th, sigma_scale_db=32.0)
-        for a, b in generate_candidates(scene02_keyframes, th)
-    ]
-    assert match_all(scene02_keyframes, th, sigma_scale_db=32.0) == expected
+    expected = [decide_match(a, b, th) for a, b in generate_candidates(scene02_keyframes)]
+    assert match_all(scene02_keyframes, th) == expected
 
 
 def test_match_all_scores_each_text_pair_once(scene02_keyframes, monkeypatch):
@@ -189,7 +177,19 @@ def test_match_all_scores_each_text_pair_once(scene02_keyframes, monkeypatch):
 
 def test_extract_rejects_out_of_order_wifi(recording):
     shuffled = dataclasses.replace(recording, wifi=recording.wifi[::-1])
-    with pytest.raises(ValueError, match="wifi timestamps"):
+    with pytest.raises(ValueError, match="a0: wifi timestamps are out of order"):
+        extract_keyframes(shuffled)
+
+
+def test_extract_rejects_out_of_order_scans(recording):
+    shuffled = dataclasses.replace(recording, scans=recording.scans[::-1])
+    with pytest.raises(ValueError, match="a0: scan timestamps are out of order"):
+        extract_keyframes(shuffled)
+
+
+def test_extract_rejects_out_of_order_odometry(recording):
+    shuffled = dataclasses.replace(recording, odometry=recording.odometry[::-1])
+    with pytest.raises(ValueError, match="a0: odometry timestamps are out of order"):
         extract_keyframes(shuffled)
 
 

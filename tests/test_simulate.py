@@ -10,6 +10,7 @@ from textwifi_slam.simulate import (
     NoiseModel,
     Recording,
     integrate_odometry,
+    nearest_index,
     simulate_recording,
 )
 from textwifi_slam.world import CorridorTemplate, generate_floorplan
@@ -129,6 +130,13 @@ def test_truth_at_picks_nearest_sample(clean_recording):
     assert pose.x == pytest.approx(1.5 + 1.3, abs=1e-9)
     assert clean_recording.truth_at(-5.0) == clean_recording.truth[0].pose
     assert clean_recording.truth_at(1e9) == clean_recording.truth[-1].pose
+
+
+def test_nearest_index_takes_the_earlier_sample_on_a_tie():
+    times = [0.0, 1.0, 2.0]
+    assert [nearest_index(times, t) for t in (-1.0, 0.4, 0.5, 0.6, 1.0, 1.5, 9.0)] == [
+        0, 0, 0, 1, 1, 1, 2,
+    ]
 
 
 def test_waypoints_must_stay_inside_the_plan(small_plan):

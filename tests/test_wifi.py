@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from textwifi_slam.wifi import (
+    SIGMA_SCALE_DB,
     AccessPoint,
     IncomparableFingerprints,
     WifiFingerprint,
@@ -128,7 +129,7 @@ def test_rss_distance_requires_overlap():
 def test_rss_similarity_fixtures():
     assert rss_similarity(0.0, 5) == 1.0
     # Distance of one sigma-sqrt(n) unit lands exactly at 1/e.
-    assert rss_similarity(10.0, 4, sigma_scale_db=5.0) == math.exp(-1.0)
+    assert rss_similarity(2.0 * SIGMA_SCALE_DB, 4) == math.exp(-1.0)
 
 
 def test_rss_similarity_input_validation():
@@ -136,8 +137,6 @@ def test_rss_similarity_input_validation():
         rss_similarity(-1.0, 3)
     with pytest.raises(ValueError):
         rss_similarity(1.0, 0)
-    with pytest.raises(ValueError):
-        rss_similarity(1.0, 3, sigma_scale_db=0.0)
 
 
 def test_wifi_match_identical_fingerprints():
@@ -172,10 +171,10 @@ def test_wifi_match_disjoint_macs_never_match():
 def test_wifi_match_threshold_boundaries_are_inclusive():
     a = fp({"m1": -50.0, "m2": -60.0})
     b = fp({"m1": -53.0, "m2": -64.0})  # distance 5 over 2 shared MACs
-    gamma = rss_similarity(5.0, 2, sigma_scale_db=10.0)
-    ok, _ = is_wifi_match(a, b, beta=1.0, gamma=gamma, sigma_scale_db=10.0)
+    gamma = rss_similarity(5.0, 2)
+    ok, _ = is_wifi_match(a, b, beta=1.0, gamma=gamma)
     assert ok
-    ok, _ = is_wifi_match(a, b, beta=1.0, gamma=gamma + 1e-12, sigma_scale_db=10.0)
+    ok, _ = is_wifi_match(a, b, beta=1.0, gamma=gamma + 1e-12)
     assert not ok
 
 
