@@ -1,11 +1,13 @@
 """On-disk formats: floorplans, recordings, match reports, trajectories.
 
-Everything is UTF-8 JSON. Recordings are line-delimited (one event per
-line) so they stream and diff well; the rest are single documents. Writers
-sort keys and emit a fixed float representation (repr, which round-trips
-exactly), so identical inputs produce identical bytes. Infinities are not
-valid JSON; the one field that can be infinite (rss_distance_db) is stored
-as null.
+Everything is UTF-8 JSON written by one compact encoder (no indentation,
+no spaces after separators; `python -m json.tool` pretty-prints a file).
+Recordings are line-delimited (one event per line) so they stream and diff
+well; the rest are single-line documents. Writers sort keys and emit a fixed
+float representation (repr, which round-trips exactly), so identical inputs
+produce identical bytes. A scan is stored as its ranges, one per beam.
+Infinities are not valid JSON; the values that can be infinite (a scan
+range with no return, rss_distance_db) are stored as null.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .geometry import PointCloud2, Pose2
 from .place_recognition import MatchCandidate, NodeKey, Verdict
-from .simulate import OdometryStep, Recording, ScanEvent, TruthSample
+from .simulate import SCAN_RAY_COUNT, OdometryStep, Recording, ScanEvent, TruthSample
 from .text_matching import TextObservation
 from .wifi import AccessPoint, WifiMatchScore, WifiScan
 from .world import FloorPlan, Sign
@@ -30,10 +32,7 @@ _EVENT_ORDER = {"truth": 0, "odom": 1, "scan": 2, "wifi": 3, "text": 4}
 
 
 def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, allow_nan=False, separators=(",", ": "), indent=2)
-
-
-def _dumps_line(obj) -> str:
+    # No indent: with one, json falls back to its pure-Python encoder.
     return json.dumps(obj, sort_keys=True, allow_nan=False, separators=(",", ":"))
 
 
@@ -125,7 +124,8 @@ def _recording_events(rec: Recording) -> list[tuple[float, int, dict]]:
     for o in rec.odometry:
         add(o.timestamp, "odom", {"dx": o.dx, "dy": o.dy, "dtheta": o.dtheta})
     for sc in rec.scans:
-        add(sc.timestamp, "scan", {"points": sc.cloud.points.tolist()})
+        ranges = [None if r == math.inf else r for r in sc.ranges.tolist()]
+        add(sc.timestamp, "scan", {"ranges": ranges})
     for w in rec.wifi:
         add(w.timestamp, "wifi", {"readings": [[mac, rss] for mac, rss in w.readings]})
     for tx in rec.texts:
@@ -135,7 +135,7 @@ def _recording_events(rec: Recording) -> list[tuple[float, int, dict]]:
 
 
 def save_recording(path: PathLike, rec: Recording) -> None:
-    lines = [_dumps_line(row) for _, _, row in _recording_events(rec)]
+    lines = [_dumps(row) for _, _, row in _recording_events(rec)]
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
@@ -158,8 +158,8 @@ def load_recording(path: PathLike) -> Recording:
         elif kind == "odom":
             rec.odometry.append(OdometryStep(t, payload["dx"], payload["dy"], payload["dtheta"]))
         elif kind == "scan":
-            pts = np.array(payload["points"], dtype=float).reshape(-1, 2)
-            rec.scans.append(ScanEvent(t, PointCloud2(pts, frame_id=agent)))
+            ranges = _ranges_from_list(payload.get("ranges"), path, lineno)
+            rec.scans.append(ScanEvent(t, agent, ranges))
         elif kind == "wifi":
             readings = tuple((mac, float(rss)) for mac, rss in payload["readings"])
             rec.wifi.append(WifiScan(t, agent, readings))
@@ -172,6 +172,20 @@ def load_recording(path: PathLike) -> Recording:
     if rec is None:
         raise ValueError(f"{path}: recording holds no events")
     return rec
+
+
+def _ranges_from_list(raw, path: PathLike, lineno: int) -> np.ndarray:
+    """A scan's ranges from their JSON list, null meaning no return (inf)."""
+    if not (
+        isinstance(raw, list)
+        and len(raw) == SCAN_RAY_COUNT
+        and all(r is None or (type(r) in (int, float) and math.isfinite(r)) for r in raw)
+    ):
+        raise ValueError(
+            f"{path}:{lineno}: a scan payload holds \"ranges\", a list of "
+            f"{SCAN_RAY_COUNT} finite numbers or nulls"
+        )
+    return np.array([math.inf if r is None else r for r in raw], dtype=float)
 
 
 def recording_path(out_dir: PathLike, agent_id: str) -> Path:

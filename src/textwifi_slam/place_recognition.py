@@ -45,11 +45,14 @@ class Verdict(str, enum.Enum):
 
 @dataclass(frozen=True)
 class Thresholds:
-    """The three gate thresholds: text (alpha), MAC overlap (beta), RSS (gamma)."""
+    """The three gate thresholds: text (alpha), MAC overlap (beta), RSS (gamma).
 
-    alpha: float = 0.8
-    beta: float = 0.8
-    gamma: float = 0.8
+    Their defaults live in RunConfig; build them with RunConfig.thresholds().
+    """
+
+    alpha: float
+    beta: float
+    gamma: float
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "gamma"):

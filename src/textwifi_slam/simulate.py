@@ -5,6 +5,11 @@ per-waypoint hold time. Every sensor channel (odometry, lidar-style range
 scans, WiFi sweeps, text detections) is driven by a single seeded generator
 in a fixed per-tick order, so a recording is a pure function of the plan,
 the script and the seed.
+
+A scan is recorded as a planar laser scanner reports it (as in a ROS
+sensor_msgs/LaserScan): one range per beam at fixed angles, inf where the
+beam got no return. Its point cloud is derived from the ranges by
+`scan_points`, the one place that turns ranges into coordinates.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,6 +31,8 @@ TICK_S = 0.1
 SCAN_RAY_COUNT = 360
 SCAN_RESOLUTION_RAD = math.radians(1.0)
 SCAN_MAX_RANGE_M = 15.0
+# Beam i points SCAN_RESOLUTION_RAD * i from the sensor's x axis.
+_BEAM_ANGLES = np.arange(SCAN_RAY_COUNT) * SCAN_RESOLUTION_RAD
 
 
 @dataclass(frozen=True)
@@ -90,10 +98,49 @@ class OdometryStep:
     dtheta: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScanEvent:
+    """One range scan: a range per beam, SCAN_RAY_COUNT beams
+    SCAN_RESOLUTION_RAD apart, and inf where a beam got no return.
+
+    The ranges are copied on construction and frozen; `cloud` holds the
+    returns as points in the sensor frame (frame_id), built on first use.
+    """
+
     timestamp: float
-    cloud: PointCloud2  # sensor frame
+    frame_id: str
+    ranges: np.ndarray
+
+    def __post_init__(self) -> None:
+        ranges = np.array(self.ranges, dtype=float)
+        if ranges.shape != (SCAN_RAY_COUNT,):
+            raise ValueError(
+                f"a scan holds {SCAN_RAY_COUNT} ranges, got an array of shape {ranges.shape}"
+            )
+        ranges.flags.writeable = False
+        object.__setattr__(self, "ranges", ranges)
+
+    @cached_property
+    def cloud(self) -> PointCloud2:
+        return PointCloud2(scan_points(self.ranges), frame_id=self.frame_id)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ScanEvent):
+            return NotImplemented
+        return (
+            self.timestamp == other.timestamp
+            and self.frame_id == other.frame_id
+            and np.array_equal(self.ranges, other.ranges)
+        )
+
+
+def scan_points(ranges: np.ndarray) -> np.ndarray:
+    """The (n, 2) sensor-frame points of the beams of ranges that returned."""
+    hit = np.isfinite(ranges)
+    noisy = ranges[hit]
+    return np.stack(
+        [noisy * np.cos(_BEAM_ANGLES[hit]), noisy * np.sin(_BEAM_ANGLES[hit])], axis=1
+    )
 
 
 @dataclass(frozen=True)
@@ -190,7 +237,10 @@ def _pose_in_phase(phase: _Phase, t: float, speed: float) -> Pose2:
 
 
 def simulate_recording(plan: FloorPlan, script: AgentScript) -> Recording:
-    """Run one agent through the plan and record every sensor channel."""
+    """Run one agent through the plan and record every sensor channel.
+
+    Each scan keeps its noisy ranges, one per beam; see ScanEvent.
+    """
     xmin, ymin, xmax, ymax = plan.bounds()
     for pos, _ in script.waypoints:
         if not (xmin <= pos[0] <= xmax and ymin <= pos[1] <= ymax):
@@ -205,7 +255,6 @@ def simulate_recording(plan: FloorPlan, script: AgentScript) -> Recording:
 
     noise = script.noise
     rec = Recording(agent_id=script.agent_id)
-    local_angles = np.arange(SCAN_RAY_COUNT) * SCAN_RESOLUTION_RAD
     ap_positions = [ap.position for ap in plan.aps]
     cos_half = math.cos(script.text_detection_half_angle_rad)
     last_attempt: dict[str, float] = {}
@@ -234,16 +283,12 @@ def simulate_recording(plan: FloorPlan, script: AgentScript) -> Recording:
         prev_pose = pose
 
         if k % scan_every == 0:
-            world_angles = pose.theta + local_angles
+            world_angles = pose.theta + _BEAM_ANGLES
             ranges = raycast((pose.x, pose.y), world_angles, plan.walls, SCAN_MAX_RANGE_M)
             hit = np.isfinite(ranges)
             n_hit = int(hit.sum())
-            noisy = ranges[hit] + rng.standard_normal(n_hit) * noise.scan_sigma_m
-            pts = np.stack(
-                [noisy * np.cos(local_angles[hit]), noisy * np.sin(local_angles[hit])],
-                axis=1,
-            )
-            rec.scans.append(ScanEvent(t, PointCloud2(pts, frame_id=script.agent_id)))
+            ranges[hit] += rng.standard_normal(n_hit) * noise.scan_sigma_m
+            rec.scans.append(ScanEvent(t, script.agent_id, ranges))
 
         if k % wifi_every == 0:
             receiver = (pose.x, pose.y)

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from textwifi_slam.config import RunConfig
 from textwifi_slam.evaluation import (
     PrMetrics,
     end_point_error,
@@ -62,7 +63,7 @@ def scored_world():
 
 def test_per_modality_confusion_counts(scored_world):
     candidates, by_key = scored_world
-    report = score_candidates(candidates, by_key, Thresholds())
+    report = score_candidates(candidates, by_key, RunConfig().thresholds())
     assert report.candidate_count == 4
     assert report.positive_count == 2
     assert report.text_only == PrMetrics(1, 1, 1)
@@ -93,7 +94,7 @@ def test_scoring_demands_ground_truth(scored_world):
     by_key = {**by_key, untagged.key: untagged}
     rigged = [cand(("a0", 0), ("a9", 0), 0.9, 0.9, 0.9)]
     with pytest.raises(ValueError):
-        score_candidates(rigged, by_key, Thresholds())
+        score_candidates(rigged, by_key, RunConfig().thresholds())
 
 
 def test_sweep_covers_the_grid_and_matches_single_scoring(scored_world):

@@ -26,10 +26,26 @@ from textwifi_slam.io_formats import (
     save_trajectories,
 )
 from textwifi_slam.place_recognition import MatchCandidate, Verdict
-from textwifi_slam.simulate import OdometryStep, Recording, ScanEvent, TruthSample
+from textwifi_slam.simulate import (
+    SCAN_RAY_COUNT,
+    AgentScript,
+    OdometryStep,
+    Recording,
+    ScanEvent,
+    TruthSample,
+    simulate_recording,
+)
 from textwifi_slam.text_matching import TextObservation
 from textwifi_slam.wifi import WifiMatchScore, WifiScan
 from textwifi_slam.world import CorridorTemplate, generate_floorplan
+
+
+def scan_ranges(*returns: tuple[int, float]) -> np.ndarray:
+    """Ranges with a return of the given length on each given beam, none elsewhere."""
+    ranges = np.full(SCAN_RAY_COUNT, math.inf)
+    for beam, r in returns:
+        ranges[beam] = r
+    return ranges
 
 
 def sample_recording() -> Recording:
@@ -40,7 +56,7 @@ def sample_recording() -> Recording:
             TruthSample(0.1, Pose2(1.6, 1.5, 0.01)),
         ],
         odometry=[OdometryStep(0.0, 0.1, 0.002, 0.01)],
-        scans=[ScanEvent(0.0, PointCloud2([[1.0, 2.0], [3.0, 4.5]], frame_id="a0"))],
+        scans=[ScanEvent(0.0, "a0", scan_ranges((0, 1.0), (90, 3.25), (359, 4.5)))],
         wifi=[WifiScan(0.0, "a0", (("ap00", -50.5), ("ap01", -61.25)))],
         texts=[TextObservation(0.0, "a0", "ROOM A-101", "s_room0")],
     )
@@ -105,7 +121,7 @@ class TestRecording:
         b.agent_id = "a1"
         b.texts = [TextObservation(0.0, "a1", "ROOM A-101", "s_room0")]
         b.wifi = [WifiScan(0.0, "a1", (("ap00", -50.5),))]
-        b.scans = [ScanEvent(0.0, PointCloud2([[1.0, 2.0]], frame_id="a1"))]
+        b.scans = [ScanEvent(0.0, "a1", scan_ranges((45, 2.0)))]
         recs["a1"] = b
         save_recordings(tmp_path, recs)
         assert sorted(p.name for p in tmp_path.iterdir()) == [
@@ -115,6 +131,45 @@ class TestRecording:
         assert recording_path(tmp_path, "a7").name == "recording_a7.jsonl"
         loaded = load_recordings(tmp_path)
         assert loaded == recs
+
+    def test_noisy_scan_points_survive_save_and_load(self, tmp_path):
+        plan = generate_floorplan(CorridorTemplate(room_count=2), 0, 4, seed=5)
+        waypoints = (((1.5, 1.5), 0.0), ((10.5, 1.5), 2.0), ((1.5, 1.5), 0.0))
+        rec = simulate_recording(plan, AgentScript("a0", waypoints, seed=11))
+        path = tmp_path / "recording.jsonl"
+        save_recording(path, rec)
+        loaded = load_recording(path)
+        assert len(loaded.scans) == len(rec.scans) > 0
+        for got, want in zip(loaded.scans, rec.scans):
+            assert np.array_equal(got.cloud.points, want.cloud.points)
+
+    def test_no_return_is_stored_as_null(self, tmp_path):
+        path = tmp_path / "recording_a0.jsonl"
+        save_recording(path, sample_recording())
+        scan = next(r for r in map(json.loads, path.read_text().splitlines()) if r["kind"] == "scan")
+        ranges = scan["payload"]["ranges"]
+        assert len(ranges) == SCAN_RAY_COUNT
+        assert (ranges[0], ranges[90], ranges[359]) == (1.0, 3.25, 4.5)
+        assert ranges.count(None) == SCAN_RAY_COUNT - 3
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"ranges": [1.0] * (SCAN_RAY_COUNT - 1)},
+            {"ranges": ["1.0"] + [None] * (SCAN_RAY_COUNT - 1)},
+            {"ranges": [math.nan] + [None] * (SCAN_RAY_COUNT - 1)},
+            {"ranges": [math.inf] + [None] * (SCAN_RAY_COUNT - 1)},
+            {"points": [[1.0, 2.0], [3.0, 4.5]]},
+        ],
+        ids=["wrong-length", "string-entry", "nan-entry", "infinite-entry", "points-payload"],
+    )
+    def test_malformed_scan_names_the_line(self, tmp_path, payload):
+        path = tmp_path / "broken.jsonl"
+        odom = {"t": 0.0, "agent": "a0", "kind": "odom", "payload": {"dx": 0, "dy": 0, "dtheta": 0}}
+        scan = {"t": 0.0, "agent": "a0", "kind": "scan", "payload": payload}
+        path.write_text(json.dumps(odom) + "\n" + json.dumps(scan) + "\n")
+        with pytest.raises(ValueError, match=r"broken\.jsonl:2:"):
+            load_recording(path)
 
     def test_two_files_for_one_agent_are_rejected(self, tmp_path):
         save_recordings(tmp_path, {"a0": sample_recording()})

@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from textwifi_slam import place_recognition
+from textwifi_slam.config import RunConfig
 from textwifi_slam.place_recognition import (
     Thresholds,
     Verdict,
@@ -114,7 +115,7 @@ def test_gate_cascade_verdicts():
 
 
 def test_gate_scores_are_symmetric():
-    th = Thresholds()
+    th = RunConfig().thresholds()
     a = make_keyframe("a0", 0, 0.0, rss={"ap00": -48.0, "ap02": -66.0})
     b = make_keyframe("a1", 0, 0.0, rss={"ap00": -51.0, "ap01": -70.0})
     ab, ba = decide_match(a, b, th), decide_match(b, a, th)
@@ -126,7 +127,7 @@ def test_gate_scores_are_symmetric():
 def test_full_scoring_mode_matches_operational_verdicts():
     # A pair the text gate rejects still carries finite WiFi scores, and
     # the text gate still names the rejection although WiFi would accept.
-    th = Thresholds()
+    th = RunConfig().thresholds()
     a = make_keyframe("a0", 0, 0.0, text="STAIR B", sign_id="s1")
     b = make_keyframe("a1", 0, 0.0, text="LIFT LOBBY", sign_id="s2")
     out = decide_match(a, b, th)
@@ -137,7 +138,7 @@ def test_full_scoring_mode_matches_operational_verdicts():
 
 
 def test_match_all_is_deterministic():
-    th = Thresholds()
+    th = RunConfig().thresholds()
     kfs = [make_keyframe(f"a{i}", 0, float(i)) for i in range(4)]
     first = match_all(kfs, th)
     second = match_all(kfs, th)
@@ -154,7 +155,7 @@ def scene02_keyframes():
 
 
 def test_match_all_equals_decide_match_on_every_candidate(scene02_keyframes):
-    th = Thresholds()
+    th = RunConfig().thresholds()
     expected = [decide_match(a, b, th) for a, b in generate_candidates(scene02_keyframes)]
     assert match_all(scene02_keyframes, th) == expected
 
@@ -167,7 +168,7 @@ def test_match_all_scores_each_text_pair_once(scene02_keyframes, monkeypatch):
         return text_similarity(a, b)
 
     monkeypatch.setattr(place_recognition, "text_similarity", counting)
-    th = Thresholds()
+    th = RunConfig().thresholds()
     candidates = match_all(scene02_keyframes, th)
     texts = {kf.key: kf.text_obs.text for kf in scene02_keyframes}
     assert set(calls) == {(texts[c.a], texts[c.b]) for c in candidates}
@@ -194,7 +195,7 @@ def test_extract_rejects_out_of_order_odometry(recording):
 
 
 def test_verified_locations_groups_accepted_pairs():
-    th = Thresholds()
+    th = RunConfig().thresholds()
     kfs = {
         "a": make_keyframe("a0", 0, 0.0),
         "b": make_keyframe("a1", 0, 0.0),

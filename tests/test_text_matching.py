@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from textwifi_slam.place_recognition import Thresholds, Verdict, decide_match
+from textwifi_slam.config import RunConfig
+from textwifi_slam.place_recognition import Verdict, decide_match
 from textwifi_slam.text_matching import (
     CORRUPTION_ALPHABET,
     corrupt_text,
@@ -96,13 +97,13 @@ def test_match_threshold_is_inclusive():
     # gate of decide_match at alpha = 0.9 and fails it just above.
     a = make_keyframe("a0", 0, 0.0, text="ROOM A-103")
     b = make_keyframe("a1", 0, 0.0, text="ROOM A-104")
-    at = decide_match(a, b, Thresholds(alpha=0.9))
+    at = decide_match(a, b, RunConfig(alpha=0.9).thresholds())
     assert at.text_score == 0.9
     assert at.verdict is Verdict.ACCEPTED
-    above = decide_match(a, b, Thresholds(alpha=0.9 + 1e-9))
+    above = decide_match(a, b, RunConfig(alpha=0.9 + 1e-9).thresholds())
     assert above.verdict is Verdict.REJECTED_TEXT
     x, y = make_keyframe("a0", 0, 0.0, text="x"), make_keyframe("a1", 0, 0.0, text="y")
-    assert decide_match(x, y, Thresholds(alpha=0.0)).verdict is Verdict.ACCEPTED
+    assert decide_match(x, y, RunConfig(alpha=0.0).thresholds()).verdict is Verdict.ACCEPTED
 
 
 def test_corrupt_text_clean_passthrough():
