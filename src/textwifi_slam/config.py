@@ -23,6 +23,7 @@ from typing import Mapping, Optional, Union, get_type_hints
 
 from .place_recognition import Thresholds
 from .scenarios import scenario_names
+from .world import DUPLICATE_TEXT_POOL
 
 PathLike = Union[str, Path]
 
@@ -59,8 +60,10 @@ class RunConfig:
         self.thresholds()  # Thresholds owns the [0, 1] rule for alpha, beta and gamma.
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.duplicate_text_count < 0:
-            raise ValueError("duplicate_text_count must be non-negative")
+        if not 0 <= self.duplicate_text_count <= len(DUPLICATE_TEXT_POOL):
+            raise ValueError(
+                f"duplicate_text_count must be in [0, {len(DUPLICATE_TEXT_POOL)}]"
+            )
 
     def thresholds(self) -> Thresholds:
         return Thresholds(alpha=self.alpha, beta=self.beta, gamma=self.gamma)

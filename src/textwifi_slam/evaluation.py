@@ -24,6 +24,10 @@ from .place_recognition import (
 )
 from .simulate import Recording
 
+# The keyframe standing in for an anchor visit must lie this close to the
+# anchor in ground truth.
+MAX_ANCHOR_DISTANCE_M = 0.5
+
 
 @dataclass(frozen=True)
 class PrMetrics:
@@ -140,7 +144,6 @@ def _nearest_keyframe(
     agent_id: str,
     keyframes: Sequence[Keyframe],
     recordings: Mapping[str, Recording],
-    max_distance_m: float,
 ) -> Keyframe:
     recording = recordings.get(agent_id)
     if recording is None:
@@ -154,9 +157,10 @@ def _nearest_keyframe(
         d = math.hypot(truth.x - anchor_xy[0], truth.y - anchor_xy[1])
         if d < best_d:
             best, best_d = kf, d
-    if best is None or best_d > max_distance_m:
+    if best is None or best_d > MAX_ANCHOR_DISTANCE_M:
         raise ValueError(
-            f"agent {agent_id!r} has no keyframe within {max_distance_m} m of anchor {anchor_xy}"
+            f"agent {agent_id!r} has no keyframe within {MAX_ANCHOR_DISTANCE_M} m "
+            f"of anchor {anchor_xy}"
         )
     return best
 
@@ -168,8 +172,6 @@ def end_point_error(
     keyframes: Sequence[Keyframe],
     recordings: Mapping[str, Recording],
     estimated: Mapping[NodeKey, Pose2],
-    *,
-    max_anchor_distance_m: float = 0.5,
 ) -> EpeReport:
     """Compare estimated against true separation of two anchor visits.
 
@@ -183,8 +185,8 @@ def end_point_error(
         raise ValueError("anchor labels must both be present in the map's anchor table")
     agent_s, _ = _parse_anchor(start_label)
     agent_e, _ = _parse_anchor(end_label)
-    kf_s = _nearest_keyframe(anchors[start_label], agent_s, keyframes, recordings, max_anchor_distance_m)
-    kf_e = _nearest_keyframe(anchors[end_label], agent_e, keyframes, recordings, max_anchor_distance_m)
+    kf_s = _nearest_keyframe(anchors[start_label], agent_s, keyframes, recordings)
+    kf_e = _nearest_keyframe(anchors[end_label], agent_e, keyframes, recordings)
     truth_s = recordings[agent_s].truth_at(kf_s.timestamp)
     truth_e = recordings[agent_e].truth_at(kf_e.timestamp)
     truth_sep = math.hypot(truth_e.x - truth_s.x, truth_e.y - truth_s.y)

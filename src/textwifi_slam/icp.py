@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -130,27 +130,24 @@ def icp_register(
     return IcpResult(pose, mse, iterations, converged, float(mask.mean()))
 
 
+def best_result(results: Iterable[IcpResult]) -> IcpResult:
+    """The best of several registrations of one scan pair.
+
+    Converged results beat non-converged ones; ties break on mean squared
+    error and then on order, the earliest winning, so the outcome is
+    deterministic.
+    """
+    return max(results, key=lambda r: (r.converged, -r.mean_sq_error))
+
+
 def icp_register_multistart(
     source: PointCloud2,
     target: PointCloud2,
     initials: Sequence[Pose2],
     **kwargs,
 ) -> IcpResult:
-    """Run icp_register from several initial guesses and keep the best.
-
-    Converged results beat non-converged ones; ties break on mean squared
-    error and then on the order of the initial guesses, so the outcome is
-    deterministic.
-    """
+    """Run icp_register from each initial guess, in order, and return
+    their best_result."""
     if not initials:
         raise ValueError("need at least one initial guess")
-    best: IcpResult | None = None
-    for initial in initials:
-        result = icp_register(source, target, initial, **kwargs)
-        if best is None or (result.converged, -result.mean_sq_error) > (
-            best.converged,
-            -best.mean_sq_error,
-        ):
-            best = result
-    assert best is not None
-    return best
+    return best_result(icp_register(source, target, initial, **kwargs) for initial in initials)

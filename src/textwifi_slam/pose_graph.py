@@ -28,6 +28,7 @@ from .geometry import Pose2, PointCloud2, relative_pose, transform_points
 from .icp import (
     DEFAULT_CORRESPONDENCE_RADIUS_M,
     IcpResult,
+    best_result,
     icp_register,
     icp_register_multistart,
 )
@@ -115,9 +116,7 @@ def register_keyframe_pair(a: Keyframe, b: Keyframe, **icp_kwargs) -> IcpResult:
         Pose2(0.0, 0.0, math.pi),
     ]
     rest = icp_register_multistart(b.scan, a.scan, rotations, **icp_kwargs)
-    if (first.converged, -first.mean_sq_error) >= (rest.converged, -rest.mean_sq_error):
-        return first
-    return rest
+    return best_result((first, rest))
 
 
 # The pairs (and ICP settings) of each register_keyframe_pairs call in

@@ -12,36 +12,22 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .simulate import AgentScript, NoiseModel
-from .world import CorridorTemplate, FloorPlan, generate_floorplan
-
-SCENE01_AP_COUNT = 10
+from .world import FloorPlan, generate_floorplan, room_center_x
 
 # Tuned so the odometry-only baseline accumulates more than a metre of
 # start-end error over a ~260 m drive. Alternating the drift sign per agent
 # mimics unit-to-unit calibration differences.
 HEADING_DRIFT_RAD_PER_M = 4e-3
 
-# Scripted agents read signs from closer in than the hardware default so
-# that reads of one sign cluster tightly; see the radio-gate discussion in
-# the package docs.
-TEXT_RANGE_M = 2.0
-
 _CORRIDOR_Y = 1.5
-# Deep enough into a room that its north-wall signs are inside TEXT_RANGE_M.
+# Deep enough into a room that its north-wall signs are inside
+# simulate.TEXT_DETECTION_RANGE_M.
 _ROOM_STOP_Y = 6.0
 _ANCHOR = (1.5, _CORRIDOR_Y)
 
 
 def scenario_names() -> tuple[str, ...]:
     return ("scene01", "scene02")
-
-
-def _scene_template() -> CorridorTemplate:
-    return CorridorTemplate()
-
-
-def _room_x(i: int) -> float:
-    return _scene_template().room_center_x(i)
 
 
 def _noise_for(index: int, zero_noise: bool) -> NoiseModel:
@@ -62,14 +48,13 @@ def _agent(
         waypoints=tuple(waypoints),
         noise=_noise_for(index, zero_noise),
         seed=seed * 1000 + index,
-        text_detection_range_m=TEXT_RANGE_M,
         text_detection_prob=1.0 if zero_noise else 0.9,
     )
 
 
 def _scene01_scripts(seed: int, zero_noise: bool) -> list[AgentScript]:
     y, ry = _CORRIDOR_Y, _ROOM_STOP_Y
-    x0, x1, x2, x3 = (_room_x(i) for i in range(4))
+    x0, x1, x2, x3 = (room_center_x(i) for i in range(4))
     east = (22.5, y)
     a0 = [
         (_ANCHOR, 5.0), (east, 2.0),
@@ -100,7 +85,7 @@ def _scene01_scripts(seed: int, zero_noise: bool) -> list[AgentScript]:
 
 def _scene02_scripts(seed: int, zero_noise: bool) -> list[AgentScript]:
     y, ry = _CORRIDOR_Y, _ROOM_STOP_Y
-    x0, x1, x2, x3 = (_room_x(i) for i in range(4))
+    x0, x1, x2, x3 = (room_center_x(i) for i in range(4))
     east = (22.5, y)
     a0 = [
         (_ANCHOR, 4.0),
@@ -152,7 +137,7 @@ def scripted_scenario(
     """
     if name not in scenario_names():
         raise ValueError(f"unknown scenario {name!r}, known: {', '.join(scenario_names())}")
-    plan = generate_floorplan(_scene_template(), duplicate_text_count, SCENE01_AP_COUNT, seed)
+    plan = generate_floorplan(duplicate_text_count, seed)
     plan = replace(
         plan,
         named_anchors=(("a0/start", _ANCHOR), ("a2/end", _ANCHOR)),

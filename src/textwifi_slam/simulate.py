@@ -34,6 +34,22 @@ SCAN_MAX_RANGE_M = 15.0
 # Beam i points SCAN_RESOLUTION_RAD * i from the sensor's x axis.
 _BEAM_ANGLES = np.arange(SCAN_RAY_COUNT) * SCAN_RESOLUTION_RAD
 
+# Every agent walks at SPEED_MPS and carries the same sensors.
+SPEED_MPS = 1.0
+SCAN_HZ = 1.0
+WIFI_HZ = 2.0
+_SCAN_EVERY = round(1.0 / (SCAN_HZ * TICK_S))  # ticks
+_WIFI_EVERY = round(1.0 / (WIFI_HZ * TICK_S))
+WIFI_SENSITIVITY_DBM = -75.0
+# Agents read a sign only from within 2 m, so the reads of one sign cluster
+# tightly: any two lie at most 4 m apart. That keeps their WiFi fingerprints
+# alike enough for the RSS gate, and ICP's co-located starting guess
+# (pose_graph.register_keyframe_pair) near their true offset.
+TEXT_DETECTION_RANGE_M = 2.0
+TEXT_DETECTION_HALF_ANGLE_RAD = math.radians(60.0)
+# A sign in view is tried again only after this long.
+TEXT_ATTEMPT_COOLDOWN_S = 2.0
+
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -61,29 +77,17 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class AgentScript:
-    """Route and sensor configuration for one simulated agent."""
+    """Route, noise and sign-reading odds for one simulated agent."""
 
     agent_id: str
     waypoints: tuple[tuple[tuple[float, float], float], ...]  # ((x, y), hold_s)
-    speed_mps: float = 1.0
-    scan_hz: float = 1.0
-    wifi_hz: float = 2.0
     noise: NoiseModel = field(default_factory=NoiseModel)
     seed: int = 0
-    text_detection_range_m: float = 3.0
-    text_detection_half_angle_rad: float = math.radians(60.0)
     text_detection_prob: float = 0.9
-    text_attempt_cooldown_s: float = 2.0
-    wifi_sensitivity_dbm: float = -75.0
 
     def __post_init__(self) -> None:
         if not self.waypoints:
             raise ValueError("a script needs at least one waypoint")
-        if self.speed_mps <= 0.0:
-            raise ValueError("speed must be positive")
-        for hz in (self.scan_hz, self.wifi_hz):
-            if hz <= 0.0 or hz * TICK_S > 1.0 + 1e-9:
-                raise ValueError(f"sensor rate {hz} Hz does not fit the {TICK_S}s tick")
         if not 0.0 <= self.text_detection_prob <= 1.0:
             raise ValueError("detection probability must be in [0, 1]")
 
@@ -220,7 +224,7 @@ def _build_phases(script: AgentScript) -> list[_Phase]:
             dist = math.hypot(nxt[0] - pos[0], nxt[1] - pos[1])
             if dist > 0.0:
                 heading = math.atan2(nxt[1] - pos[1], nxt[0] - pos[0])
-                duration = dist / script.speed_mps
+                duration = dist / SPEED_MPS
                 phases.append(_Phase(t, t + duration, pos, nxt, heading, True))
                 t += duration
     if not phases:
@@ -228,10 +232,10 @@ def _build_phases(script: AgentScript) -> list[_Phase]:
     return phases
 
 
-def _pose_in_phase(phase: _Phase, t: float, speed: float) -> Pose2:
+def _pose_in_phase(phase: _Phase, t: float) -> Pose2:
     if not phase.moving:
         return Pose2(phase.start[0], phase.start[1], phase.heading)
-    travelled = (t - phase.t_start) * speed
+    travelled = (t - phase.t_start) * SPEED_MPS
     c, s = math.cos(phase.heading), math.sin(phase.heading)
     return Pose2(phase.start[0] + c * travelled, phase.start[1] + s * travelled, phase.heading)
 
@@ -250,13 +254,11 @@ def simulate_recording(plan: FloorPlan, script: AgentScript) -> Recording:
     phases = _build_phases(script)
     total_time = phases[-1].t_end
     n_ticks = max(1, math.ceil(total_time / TICK_S - 1e-9))
-    scan_every = max(1, round(1.0 / (script.scan_hz * TICK_S)))
-    wifi_every = max(1, round(1.0 / (script.wifi_hz * TICK_S)))
 
     noise = script.noise
     rec = Recording(agent_id=script.agent_id)
     ap_positions = [ap.position for ap in plan.aps]
-    cos_half = math.cos(script.text_detection_half_angle_rad)
+    cos_half = math.cos(TEXT_DETECTION_HALF_ANGLE_RAD)
     last_attempt: dict[str, float] = {}
 
     phase_idx = 0
@@ -266,7 +268,7 @@ def simulate_recording(plan: FloorPlan, script: AgentScript) -> Recording:
         clamped = min(t, total_time)
         while phase_idx + 1 < len(phases) and clamped > phases[phase_idx].t_end + 1e-12:
             phase_idx += 1
-        pose = _pose_in_phase(phases[phase_idx], clamped, script.speed_mps)
+        pose = _pose_in_phase(phases[phase_idx], clamped)
         rec.truth.append(TruthSample(t, pose))
 
         if prev_pose is not None:
@@ -282,7 +284,7 @@ def simulate_recording(plan: FloorPlan, script: AgentScript) -> Recording:
             rec.odometry.append(OdometryStep(t, dx, dy, dtheta))
         prev_pose = pose
 
-        if k % scan_every == 0:
+        if k % _SCAN_EVERY == 0:
             world_angles = pose.theta + _BEAM_ANGLES
             ranges = raycast((pose.x, pose.y), world_angles, plan.walls, SCAN_MAX_RANGE_M)
             hit = np.isfinite(ranges)
@@ -290,7 +292,7 @@ def simulate_recording(plan: FloorPlan, script: AgentScript) -> Recording:
             ranges[hit] += rng.standard_normal(n_hit) * noise.scan_sigma_m
             rec.scans.append(ScanEvent(t, script.agent_id, ranges))
 
-        if k % wifi_every == 0:
+        if k % _WIFI_EVERY == 0:
             receiver = (pose.x, pose.y)
             crossings = count_wall_crossings(ap_positions, receiver, plan.walls)
             readings = []
@@ -298,7 +300,7 @@ def simulate_recording(plan: FloorPlan, script: AgentScript) -> Recording:
                 sigma = math.hypot(ap.noise_sigma_db, noise.wifi_sigma_db)
                 rss = predicted_rss(ap, receiver, walls_crossed)
                 rss += float(rng.standard_normal()) * sigma
-                if rss >= script.wifi_sensitivity_dbm:
+                if rss >= WIFI_SENSITIVITY_DBM:
                     readings.append((ap.mac, rss))
             rec.wifi.append(WifiScan(t, script.agent_id, tuple(readings)))
 
@@ -306,14 +308,14 @@ def simulate_recording(plan: FloorPlan, script: AgentScript) -> Recording:
             ddx = pose.x - sign.position[0]
             ddy = pose.y - sign.position[1]
             dist = math.hypot(ddx, ddy)
-            if dist > script.text_detection_range_m:
+            if dist > TEXT_DETECTION_RANGE_M:
                 continue
             if dist > 1e-9:
                 facing = (math.cos(sign.facing_rad), math.sin(sign.facing_rad))
                 if (facing[0] * ddx + facing[1] * ddy) / dist < cos_half:
                     continue
             prev = last_attempt.get(sign.sign_id)
-            if prev is not None and t - prev < script.text_attempt_cooldown_s - 1e-9:
+            if prev is not None and t - prev < TEXT_ATTEMPT_COOLDOWN_S - 1e-9:
                 continue
             last_attempt[sign.sign_id] = t
             if float(rng.random()) < script.text_detection_prob:

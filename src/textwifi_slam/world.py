@@ -1,11 +1,11 @@
 """Synthetic indoor worlds.
 
 A floorplan is a set of wall segments plus the things agents can sense:
-text signs and WiFi access points. The generator builds corridor-and-rooms
-layouts with controlled text duplication, and scripted_scenario bundles a
-plan with agent routes for the named benchmark scenes. Raycasting and
-wall-crossing counts test every ray or access point against every wall in
-one array operation.
+text signs and WiFi access points. The generator builds one
+corridor-and-rooms layout, fixed by the module constants below, with
+controlled text duplication; scenarios bundles a plan with agent routes for
+the named benchmark scenes. Raycasting and wall-crossing counts test every
+ray or access point against every wall in one array operation.
 """
 
 from __future__ import annotations
@@ -136,50 +136,25 @@ def count_wall_crossings(
     return np.count_nonzero(crossing, axis=1)
 
 
-@dataclass(frozen=True)
-class CorridorTemplate:
-    """Parameters of the corridor-and-rooms layout.
-
-    Rooms sit in a row along the north side of a straight corridor, each
-    with a doorway onto it.
-    """
-
-    room_count: int = 4
-    room_width_m: float = 6.0
-    room_depth_m: float = 5.0
-    corridor_width_m: float = 3.0
-    door_width_m: float = 1.2
-    ap_transmit_power_dbm: float = 20.0
-    ap_constant_k_db: float = 40.0
-    ap_path_loss_exponent: float = 3.0
-    ap_noise_sigma_db: float = 0.0
-    wall_attenuation_db: float = 10.0
-
-    def __post_init__(self) -> None:
-        if self.room_count < 1:
-            raise ValueError("need at least one room")
-        for name in ("room_width_m", "room_depth_m", "corridor_width_m", "door_width_m"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
-        if self.door_width_m >= self.room_width_m:
-            raise ValueError("doors cannot be wider than the room")
-        if self.room_width_m < 2.0 or self.room_depth_m < 2.0:
-            raise ValueError("rooms are too small to mount signs in")
-
-    @property
-    def length_m(self) -> float:
-        return self.room_count * self.room_width_m
-
-    @property
-    def height_m(self) -> float:
-        return self.corridor_width_m + self.room_depth_m
-
-    def room_center_x(self, i: int) -> float:
-        return (i + 0.5) * self.room_width_m
+# The one building the scenes use: ROOM_COUNT rooms in a row along the north
+# side of a straight corridor, each with a doorway onto it, and AP_COUNT
+# access points.
+ROOM_COUNT = 4
+ROOM_WIDTH_M = 6.0
+ROOM_DEPTH_M = 5.0
+CORRIDOR_WIDTH_M = 3.0
+DOOR_WIDTH_M = 1.2
+AP_COUNT = 10
+LENGTH_M = ROOM_COUNT * ROOM_WIDTH_M
+HEIGHT_M = CORRIDOR_WIDTH_M + ROOM_DEPTH_M
 
 
-def _corridor_walls(t: CorridorTemplate) -> list[Wall]:
-    length, height, cw = t.length_m, t.height_m, t.corridor_width_m
+def room_center_x(i: int) -> float:
+    return (i + 0.5) * ROOM_WIDTH_M
+
+
+def _corridor_walls() -> list[Wall]:
+    length, height, cw = LENGTH_M, HEIGHT_M, CORRIDOR_WIDTH_M
     walls: list[Wall] = [
         ((0.0, 0.0), (length, 0.0)),
         ((length, 0.0), (length, height)),
@@ -187,28 +162,23 @@ def _corridor_walls(t: CorridorTemplate) -> list[Wall]:
         ((0.0, height), (0.0, 0.0)),
     ]
     # Corridor/room divider with a door gap per room.
-    for i in range(t.room_count):
-        left = i * t.room_width_m
-        right = left + t.room_width_m
-        cx = t.room_center_x(i)
-        gap_l = cx - t.door_width_m / 2.0
-        gap_r = cx + t.door_width_m / 2.0
+    for i in range(ROOM_COUNT):
+        left = i * ROOM_WIDTH_M
+        right = left + ROOM_WIDTH_M
+        cx = room_center_x(i)
+        gap_l = cx - DOOR_WIDTH_M / 2.0
+        gap_r = cx + DOOR_WIDTH_M / 2.0
         walls.append(((left, cw), (gap_l, cw)))
         walls.append(((gap_r, cw), (right, cw)))
     # Partitions between adjacent rooms.
-    for i in range(1, t.room_count):
-        x = i * t.room_width_m
+    for i in range(1, ROOM_COUNT):
+        x = i * ROOM_WIDTH_M
         walls.append(((x, cw), (x, height)))
     return walls
 
 
-def generate_floorplan(
-    template: CorridorTemplate,
-    duplicate_text_count: int,
-    ap_count: int,
-    seed: int,
-) -> FloorPlan:
-    """Build a corridor-and-rooms floorplan with controlled text duplication.
+def generate_floorplan(duplicate_text_count: int, seed: int) -> FloorPlan:
+    """Build the corridor-and-rooms floorplan with controlled text duplication.
 
     duplicate_text_count texts are each mounted at two distinct locations
     (alternating between far-apart rooms and corridor walls); every room also
@@ -219,20 +189,17 @@ def generate_floorplan(
         raise ValueError(
             f"duplicate_text_count must be in [0, {len(DUPLICATE_TEXT_POOL)}]"
         )
-    if ap_count < 1:
-        raise ValueError("need at least one access point")
     rng = np.random.default_rng(seed)
-    t = template
-    cw, height, length = t.corridor_width_m, t.height_m, t.length_m
+    cw, height, length = CORRIDOR_WIDTH_M, HEIGHT_M, LENGTH_M
     inset = 0.08  # signs sit just inside the wall line
 
     signs: list[Sign] = [
         Sign("s_entrance", ENTRANCE_TEXT, (inset, cw / 2.0), 0.0),
     ]
     # Room labels on the corridor wall, east of each door, facing the corridor.
-    for i in range(t.room_count):
-        door_east = t.room_center_x(i) + t.door_width_m / 2.0
-        x = min(door_east + 0.4, (i + 1) * t.room_width_m - 0.3)
+    for i in range(ROOM_COUNT):
+        door_east = room_center_x(i) + DOOR_WIDTH_M / 2.0
+        x = min(door_east + 0.4, (i + 1) * ROOM_WIDTH_M - 0.3)
         signs.append(
             Sign(f"s_room{i}", f"ROOM A-{101 + i}", (x, cw - inset), -math.pi / 2.0)
         )
@@ -241,10 +208,10 @@ def generate_floorplan(
         text = DUPLICATE_TEXT_POOL[j]
         if j % 2 == 0:
             # Inside two non-adjacent rooms, on the north wall.
-            ra = (j // 2) % t.room_count
-            rb = (ra + 2) % t.room_count
+            ra = (j // 2) % ROOM_COUNT
+            rb = (ra + 2) % ROOM_COUNT
             for k, room in enumerate((ra, rb)):
-                x = t.room_center_x(room) + float(rng.uniform(-0.5, 0.5))
+                x = room_center_x(room) + float(rng.uniform(-0.5, 0.5))
                 signs.append(
                     Sign(f"s_dup{j}_{k}", text, (x, height - inset), -math.pi / 2.0)
                 )
@@ -257,19 +224,19 @@ def generate_floorplan(
     # Access points: one per room first, then along the corridor, then a
     # second round in the rooms near the doorway side.
     positions: list[Point] = []
-    for i in range(t.room_count):
-        positions.append((t.room_center_x(i), cw + t.room_depth_m * 0.75))
+    for i in range(ROOM_COUNT):
+        positions.append((room_center_x(i), cw + ROOM_DEPTH_M * 0.75))
     # Corridor units hang high on the divider wall rather than mid-corridor:
     # an agent walking the centerline never gets into the near field where a
     # half-meter of travel swings the reading by tens of dB.
-    n_corridor = max(2, (ap_count - t.room_count + 1) // 2)
+    n_corridor = max(2, (AP_COUNT - ROOM_COUNT + 1) // 2)
     for i in range(n_corridor):
         positions.append((length * (i + 1) / (n_corridor + 1), cw - 0.35))
     i = 0
-    while len(positions) < ap_count:
+    while len(positions) < AP_COUNT:
         positions.append(
-            (t.room_center_x(i % t.room_count) - t.room_width_m * 0.25,
-             cw + t.room_depth_m * 0.25)
+            (room_center_x(i % ROOM_COUNT) - ROOM_WIDTH_M * 0.25,
+             cw + ROOM_DEPTH_M * 0.25)
         )
         i += 1
     aps = tuple(
@@ -279,12 +246,7 @@ def generate_floorplan(
                 float(px + rng.uniform(-0.25, 0.25)),
                 float(py + rng.uniform(-0.25, 0.25)),
             ),
-            transmit_power_dbm=t.ap_transmit_power_dbm,
-            constant_k_db=t.ap_constant_k_db,
-            path_loss_exponent=t.ap_path_loss_exponent,
-            noise_sigma_db=t.ap_noise_sigma_db,
-            wall_attenuation_db=t.wall_attenuation_db,
         )
-        for i, (px, py) in enumerate(positions[:ap_count])
+        for i, (px, py) in enumerate(positions)
     )
-    return FloorPlan(tuple(_corridor_walls(t)), tuple(signs), aps)
+    return FloorPlan(tuple(_corridor_walls()), tuple(signs), aps)

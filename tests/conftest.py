@@ -9,7 +9,7 @@ from textwifi_slam.geometry import PointCloud2, Pose2
 from textwifi_slam.place_recognition import Keyframe
 from textwifi_slam.text_matching import TextObservation
 from textwifi_slam.wifi import WifiFingerprint
-from textwifi_slam.world import CorridorTemplate, generate_floorplan, raycast
+from textwifi_slam.world import generate_floorplan, raycast
 
 # A small, clearly asymmetric cloud for registration fixtures.
 L_SHAPE = np.array(
@@ -30,7 +30,7 @@ def corridor_scan(max_range_m: float = 8.0, ray_count: int = 360):
     sensors never sample that cleanly and neither does this fixture.
     Max-range misses are kept as points at the range cap.
     """
-    plan = generate_floorplan(CorridorTemplate(), 0, 8, seed=0)
+    plan = generate_floorplan(0, seed=0)
     base = np.linspace(0.0, 2.0 * math.pi, ray_count, endpoint=False)
     jitter = np.random.default_rng(7).uniform(-0.5, 0.5, ray_count)
     angles = base + jitter * (2.0 * math.pi / ray_count)

@@ -35,6 +35,7 @@ def test_thresholds_view_carries_the_gate_values():
         ("gamma", 2.0),
         ("seed", -1),
         ("duplicate_text_count", -2),
+        ("duplicate_text_count", 9),
         ("scenario", "bench"),
     ],
 )

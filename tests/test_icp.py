@@ -215,6 +215,16 @@ def test_multistart_prefers_converged_results(corridor_cloud):
     assert te < 1e-8
 
 
+def test_multistart_keeps_the_earlier_start_on_a_tie(corridor_cloud, monkeypatch):
+    def equal_rank(source, target, initial, **kwargs):
+        return IcpResult(initial, 0.04, 5, True, 0.5)
+
+    monkeypatch.setattr(icp, "icp_register", equal_rank)
+    starts = [Pose2(1.0, 0.0, 0.0), Pose2(2.0, 0.0, 0.0), Pose2(3.0, 0.0, 0.0)]
+    out = icp_register_multistart(corridor_cloud, corridor_cloud, starts)
+    assert out.transform == starts[0]
+
+
 def test_multistart_requires_initial_guesses(corridor_cloud):
     with pytest.raises(ValueError):
         icp_register_multistart(corridor_cloud, corridor_cloud, [])

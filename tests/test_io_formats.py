@@ -37,7 +37,7 @@ from textwifi_slam.simulate import (
 )
 from textwifi_slam.text_matching import TextObservation
 from textwifi_slam.wifi import WifiMatchScore, WifiScan
-from textwifi_slam.world import CorridorTemplate, generate_floorplan
+from textwifi_slam.world import generate_floorplan
 
 
 def scan_ranges(*returns: tuple[int, float]) -> np.ndarray:
@@ -133,7 +133,7 @@ class TestRecording:
         assert loaded == recs
 
     def test_noisy_scan_points_survive_save_and_load(self, tmp_path):
-        plan = generate_floorplan(CorridorTemplate(room_count=2), 0, 4, seed=5)
+        plan = generate_floorplan(0, seed=5)
         waypoints = (((1.5, 1.5), 0.0), ((10.5, 1.5), 2.0), ((1.5, 1.5), 0.0))
         rec = simulate_recording(plan, AgentScript("a0", waypoints, seed=11))
         path = tmp_path / "recording.jsonl"
@@ -186,7 +186,7 @@ class TestRecording:
 class TestFloorplan:
     def test_round_trip_preserves_every_field(self, tmp_path):
         plan = replace(
-            generate_floorplan(CorridorTemplate(), 2, 4, seed=3),
+            generate_floorplan(2, seed=3),
             named_anchors=(("a0/start", (1.5, 1.5)), ("a2/end", (20.25, 1.5))),
         )
         path = tmp_path / "floorplan.json"
@@ -198,7 +198,7 @@ class TestFloorplan:
         assert dict(loaded.named_anchors) == dict(plan.named_anchors)
 
     def test_rewrite_is_byte_stable(self, tmp_path):
-        plan = generate_floorplan(CorridorTemplate(), 2, 4, seed=3)
+        plan = generate_floorplan(2, seed=3)
         first = tmp_path / "one.json"
         second = tmp_path / "two.json"
         save_floorplan(first, plan)

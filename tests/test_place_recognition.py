@@ -19,14 +19,14 @@ from textwifi_slam.place_recognition import (
 from textwifi_slam.simulate import AgentScript, simulate_recording
 from textwifi_slam.text_matching import text_similarity
 from textwifi_slam.wifi import build_fingerprint
-from textwifi_slam.world import CorridorTemplate, generate_floorplan
+from textwifi_slam.world import generate_floorplan
 
 from conftest import make_keyframe
 
 
 @pytest.fixture(scope="module")
 def recording():
-    plan = generate_floorplan(CorridorTemplate(room_count=2), 0, 4, seed=5)
+    plan = generate_floorplan(0, seed=5)
     script = AgentScript(
         agent_id="a0",
         waypoints=(((1.5, 1.5), 0.0), ((10.5, 1.5), 2.0), ((1.5, 1.5), 0.0)),

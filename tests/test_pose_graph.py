@@ -9,7 +9,7 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
-from textwifi_slam import pipeline, pose_graph
+from textwifi_slam import icp, pipeline, pose_graph
 from textwifi_slam.config import config_for_scenario
 from textwifi_slam.geometry import Pose2, compose, inverse, relative_pose, transform_points
 from textwifi_slam.icp import IcpResult
@@ -26,7 +26,7 @@ from textwifi_slam.pose_graph import (
     register_keyframe_pairs,
 )
 from textwifi_slam.wifi import WifiMatchScore
-from textwifi_slam.world import CorridorTemplate, generate_floorplan, raycast
+from textwifi_slam.world import generate_floorplan, raycast
 
 from conftest import make_keyframe
 
@@ -259,12 +259,24 @@ class TestRegisterPair:
         assert out.converged
         assert pose_close(out.transform, true_rel, tol=1e-6)
 
+    def test_odometry_fit_beats_an_equal_sweep_result(self, monkeypatch):
+        def equal_rank(source, target, initial, **kwargs):
+            # Converged but not solid, so the sweep runs; every start ranks alike.
+            return IcpResult(initial, 0.04, 5, True, 0.5)
+
+        monkeypatch.setattr(icp, "icp_register", equal_rank)
+        monkeypatch.setattr(pose_graph, "icp_register", equal_rank)
+        a = make_keyframe("a0", 0, 0.0)
+        b = make_keyframe("a1", 0, 1.0, pose=Pose2(1.0, 0.5, 0.3))
+        out = register_keyframe_pair(a, b)
+        assert out.transform == Pose2(1.0, 0.5, 0.3)
+
     def test_corridor_aliased_odometry_fit_does_not_win(self):
         """A drifted guess in a self-similar corridor settles into a
         converged, high-overlap registration one room pitch off. Its
         residual is an order of magnitude above a true fit's, and that
         alone must force the rotation sweep."""
-        plan = generate_floorplan(CorridorTemplate(), 0, 8, seed=0)
+        plan = generate_floorplan(0, seed=0)
         local = np.arange(360) * math.radians(1.0)
 
         def scan_from(pose: Pose2, seed: int) -> np.ndarray:

@@ -13,7 +13,7 @@ from textwifi_slam.simulate import (
     nearest_index,
     simulate_recording,
 )
-from textwifi_slam.world import CorridorTemplate, generate_floorplan
+from textwifi_slam.world import generate_floorplan
 
 OUT_AND_BACK = (
     ((1.5, 1.5), 0.0),
@@ -24,7 +24,7 @@ OUT_AND_BACK = (
 
 @pytest.fixture(scope="module")
 def small_plan():
-    return generate_floorplan(CorridorTemplate(room_count=2), 0, 4, seed=5)
+    return generate_floorplan(0, seed=5)
 
 
 def script(**kwargs) -> AgentScript:
@@ -110,7 +110,7 @@ def test_text_observations_carry_provenance_and_range(noisy_recording, small_pla
         sign = signs[obs.sign_id_truth]
         pose = noisy_recording.truth_at(obs.timestamp)
         dist = math.hypot(pose.x - sign.position[0], pose.y - sign.position[1])
-        assert dist <= 3.0 + 1e-9
+        assert dist <= 2.0 + 1e-9
         assert obs.agent_id == "a0"
         assert obs.text
 
@@ -149,11 +149,7 @@ def test_script_validation():
     with pytest.raises(ValueError):
         script(waypoints=())
     with pytest.raises(ValueError):
-        script(speed_mps=0.0)
-    with pytest.raises(ValueError):
         script(text_detection_prob=1.5)
-    with pytest.raises(ValueError):
-        script(scan_hz=0.0)
 
 
 def test_hold_time_must_be_non_negative(small_plan):

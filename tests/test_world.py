@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 from textwifi_slam.scenarios import scenario_names, scripted_scenario
 from textwifi_slam.wifi import AccessPoint
 from textwifi_slam.world import (
-    CorridorTemplate,
+    HEIGHT_M,
+    LENGTH_M,
     FloorPlan,
     Sign,
     count_wall_crossings,
     generate_floorplan,
     raycast,
+    room_center_x,
 )
 
 SQUARE = (
@@ -88,30 +90,15 @@ def test_batched_crossings_equal_the_per_segment_reference(sources, receiver, wa
 
 
 def test_template_derived_dimensions():
-    t = CorridorTemplate(room_count=4, room_width_m=6.0, room_depth_m=5.0, corridor_width_m=3.0)
-    assert t.length_m == 24.0
-    assert t.height_m == 8.0
-    assert t.room_center_x(0) == 3.0
-    assert t.room_center_x(3) == 21.0
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        dict(room_count=0),
-        dict(corridor_width_m=0.0),
-        dict(door_width_m=6.0, room_width_m=6.0),
-        dict(room_width_m=1.5),
-    ],
-)
-def test_template_rejects_bad_parameters(kwargs):
-    with pytest.raises(ValueError):
-        CorridorTemplate(**kwargs)
+    assert LENGTH_M == 24.0
+    assert HEIGHT_M == 8.0
+    assert room_center_x(0) == 3.0
+    assert room_center_x(3) == 21.0
 
 
 @pytest.fixture(scope="module")
 def plan() -> FloorPlan:
-    return generate_floorplan(CorridorTemplate(), 3, 8, seed=0)
+    return generate_floorplan(3, seed=0)
 
 
 def test_floorplan_bounds_match_template(plan):
@@ -141,30 +128,28 @@ def test_duplicated_texts_appear_exactly_twice(plan):
 
 
 def test_requested_ap_count_and_unique_macs(plan):
-    assert len(plan.aps) == 8
-    assert len({ap.mac for ap in plan.aps}) == 8
+    assert len(plan.aps) == 10
+    assert len({ap.mac for ap in plan.aps}) == 10
 
 
 def test_generation_is_deterministic():
-    a = generate_floorplan(CorridorTemplate(), 2, 6, seed=9)
-    b = generate_floorplan(CorridorTemplate(), 2, 6, seed=9)
-    c = generate_floorplan(CorridorTemplate(), 2, 6, seed=10)
+    a = generate_floorplan(2, seed=9)
+    b = generate_floorplan(2, seed=9)
+    c = generate_floorplan(2, seed=10)
     assert a == b
     assert a != c
 
 
 def test_zero_duplicates_is_allowed():
-    plan = generate_floorplan(CorridorTemplate(), 0, 4, seed=1)
+    plan = generate_floorplan(0, seed=1)
     assert not [s for s in plan.signs if s.sign_id.startswith("s_dup")]
 
 
 def test_generator_input_validation():
     with pytest.raises(ValueError):
-        generate_floorplan(CorridorTemplate(), -1, 4, seed=0)
+        generate_floorplan(-1, seed=0)
     with pytest.raises(ValueError):
-        generate_floorplan(CorridorTemplate(), 99, 4, seed=0)
-    with pytest.raises(ValueError):
-        generate_floorplan(CorridorTemplate(), 0, 0, seed=0)
+        generate_floorplan(99, seed=0)
 
 
 def test_named_anchor_lookup(plan):
