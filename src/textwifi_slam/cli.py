@@ -1,10 +1,11 @@
 """Command-line front end for the mapping pipeline.
 
-Each command parses its flags, resolves the run configuration (flags beat
-config file beats defaults), makes one pipeline call and prints a summary
-line. What a stage reads and writes in the shared artifact directory is
-the pipeline module's business; the settings file that generate leaves
-there lets later commands run with the exact settings of earlier ones.
+generate, simulate and run-all write the artifact directory's config.json
+and take the settings flags (flags beat config file, which is --config or
+else that config.json, beats defaults). match, align and evaluate run with
+that config.json as it stands and take only --out, plus evaluate's --sweep.
+Each command makes one pipeline call and prints a summary line; what a
+stage reads and writes in the directory is the pipeline module's business.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 pipeline failure.
 """
@@ -41,45 +42,44 @@ def _build_parser() -> _Parser:
         prog="textwifi-slam",
         description="Multi-agent mapping with text and WiFi place recognition.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", type=Path, default=None, help="config file (JSON)")
-    common.add_argument("--seed", type=int, default=None, help="master random seed")
-    common.add_argument("--alpha", type=float, default=None, help="text gate threshold")
-    common.add_argument("--beta", type=float, default=None, help="MAC overlap threshold")
-    common.add_argument("--gamma", type=float, default=None, help="RSS similarity threshold")
-    common.add_argument("--sweep", action="store_true", help="add a threshold sweep to metrics")
-    common.add_argument("--out", type=Path, default=None, help="artifact directory")
-    common.add_argument(
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", type=Path, default=Path("out"), help="artifact directory")
+    sweep = argparse.ArgumentParser(add_help=False)
+    sweep.add_argument("--sweep", action="store_true", help="add a threshold sweep to metrics")
+    settings = argparse.ArgumentParser(add_help=False)
+    settings.add_argument("--config", type=Path, default=None, help="config file (JSON)")
+    settings.add_argument("--seed", type=int, default=None, help="master random seed")
+    settings.add_argument("--alpha", type=float, default=None, help="text gate threshold")
+    settings.add_argument("--beta", type=float, default=None, help="MAC overlap threshold")
+    settings.add_argument("--gamma", type=float, default=None, help="RSS similarity threshold")
+    settings.add_argument(
         "--scenario", choices=scenario_names(), default=None, help="scripted scenario"
     )
+    writer = [out, settings, sweep]
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn, desc in (
-        ("generate", _cmd_generate, "write the floorplan for the chosen scenario"),
-        ("simulate", _cmd_simulate, "write per-agent sensor recordings"),
-        ("match", _cmd_match, "run place recognition over recorded text events"),
-        ("align", _cmd_align, "register matches, optimize, merge the map"),
-        ("evaluate", _cmd_evaluate, "score matches and trajectory error"),
-        ("run-all", _cmd_run_all, "all of the above in one go"),
+    for name, fn, parents, desc in (
+        ("generate", _cmd_generate, writer, "write the floorplan for the chosen scenario"),
+        ("simulate", _cmd_simulate, writer, "write per-agent sensor recordings"),
+        ("match", _cmd_match, [out], "run place recognition over recorded text events"),
+        ("align", _cmd_align, [out], "register matches, optimize, merge the map"),
+        ("evaluate", _cmd_evaluate, [out, sweep], "score matches and trajectory error"),
+        ("run-all", _cmd_run_all, writer, "all of the above in one go"),
     ):
-        p = sub.add_parser(name, parents=[common], help=desc)
+        p = sub.add_parser(name, parents=parents, help=desc)
         p.set_defaults(fn=fn)
     return parser
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
+    # A command without a flag reads None (or False for --sweep): not given.
     flag_overrides = {
-        "seed": args.seed,
-        "alpha": args.alpha,
-        "beta": args.beta,
-        "gamma": args.gamma,
-        "scenario": args.scenario,
-        "out_dir": str(args.out) if args.out is not None else None,
-        "sweep": True if args.sweep else None,
+        name: getattr(args, name, None) for name in ("seed", "alpha", "beta", "gamma", "scenario")
     }
-    config_path = args.config
+    flag_overrides["sweep"] = True if getattr(args, "sweep", False) else None
+    config_path = getattr(args, "config", None)
     if config_path is None:
-        # Reuse the settings an earlier stage dropped next to its artifacts.
-        candidate = (args.out or Path(RunConfig().out_dir)) / pipeline.CONFIG_FILE
+        # The settings an earlier stage dropped next to its artifacts.
+        candidate = args.out / pipeline.CONFIG_FILE
         if candidate.is_file():
             config_path = candidate
     return build_config(config_path=config_path, flag_overrides=flag_overrides)
@@ -155,9 +155,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    out_dir = Path(cfg.out_dir)
     try:
-        args.fn(cfg, out_dir)
+        args.fn(cfg, args.out)
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports, not raises
         log.debug("stage failed", exc_info=True)
         print(f"pipeline error: {exc}", file=sys.stderr)

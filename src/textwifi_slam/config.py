@@ -1,16 +1,18 @@
 """Run configuration: defaults, file and flag overlays.
 
 A run varies only the settings held here: the scene and seed, the three
-gate thresholds, the world's duplicate-text count and noise switch, the
-artifact directory and the threshold sweep. Every other value of the
-operating point (RSS kernel scale, fingerprint window, revisit separation,
-ICP and optimizer settings) is a constant in the module that uses it.
+gate thresholds, the world's duplicate-text count and noise switch, and
+the threshold sweep. Every other value of the operating point (RSS kernel
+scale, fingerprint window, revisit separation, ICP and optimizer settings)
+is a constant in the module that uses it; the artifact directory is the
+CLI's --out, not a setting.
 
 Precedence, lowest to highest: dataclass defaults, config file,
-command-line flags. Validation rejects values no stage can run with,
-including a value of the wrong type and a scenario name the scenarios
-module does not know. A config file or override naming a key that is not
-a field here is rejected whole, so none is silently ignored.
+command-line flags (only on the commands that write config.json).
+Validation rejects values no stage can run with, including a value of the
+wrong type and a scenario name the scenarios module does not know. A config
+file or override naming a key that is not a field here is rejected whole,
+so none is silently ignored.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ PathLike = Union[str, Path]
 class RunConfig:
     scenario: str = "scene01"
     seed: int = 0
-    out_dir: str = "out"
     # Gate thresholds.
     alpha: float = 0.8
     beta: float = 0.8

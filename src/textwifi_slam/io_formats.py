@@ -268,11 +268,9 @@ def save_match_report(
     )
 
 
-def load_match_report(path: PathLike) -> tuple[list[MatchCandidate], list[list[NodeKey]]]:
-    data = load_json(path)
-    candidates = [candidate_from_dict(c) for c in data["candidates"]]
-    verified = [[_node_from_list(k) for k in group] for group in data["verified_locations"]]
-    return candidates, verified
+def load_match_report(path: PathLike) -> list[MatchCandidate]:
+    """The report's candidates; no stage reads its verified locations back."""
+    return [candidate_from_dict(c) for c in load_json(path)["candidates"]]
 
 
 # ------------------------------------------------------------- trajectories

@@ -38,7 +38,6 @@ from .place_recognition import (
     verified_locations,
 )
 from .pose_graph import (
-    OptimizeStats,
     PoseGraph,
     build_pose_graph,
     merge_maps,
@@ -72,7 +71,6 @@ class PipelineResult:
     graph: Optional[PoseGraph] = None
     initial: dict[NodeKey, Pose2] = field(default_factory=dict)
     optimized: dict[NodeKey, Pose2] = field(default_factory=dict)
-    stats: Optional[OptimizeStats] = None
     graph_summary: dict = field(default_factory=dict)
     merged: Optional[PointCloud2] = None
     metrics: dict = field(default_factory=dict)
@@ -121,7 +119,7 @@ def stage_align(result: PipelineResult) -> None:
 
     The registrations run on every usable CPU (register_keyframe_pairs),
     whose worker processes have exited when this returns. Fills graph,
-    initial, optimized, stats, graph_summary and merged.
+    initial, optimized, graph_summary and merged.
     """
     by_key = result.keyframes_by_key
     accepted = [c for c in result.candidates if c.verdict is Verdict.ACCEPTED]
@@ -132,13 +130,13 @@ def stage_align(result: PipelineResult) -> None:
     if not graph.loop_edges:
         log.warning("no usable loop closures; agents stay in their own odometry frames")
     result.graph, result.initial = graph, dict(graph.nodes)
-    result.optimized, result.stats = optimize_pose_graph(graph, return_stats=True)
+    result.optimized, stats = optimize_pose_graph(graph, return_stats=True)
     # The graph diagnostics that survive a round-trip through files.
     result.graph_summary = {
         "loop_edge_count": len(graph.loop_edges),
         "dropped_loop_count": graph.dropped_loop_count,
-        "objective_initial": result.stats.initial_objective,
-        "objective_final": result.stats.final_objective,
+        "objective_initial": stats.initial_objective,
+        "objective_final": stats.final_objective,
     }
     result.merged = merge_maps(result.optimized, result.keyframes)
 
@@ -240,10 +238,7 @@ def run_all(cfg: RunConfig, *, out_dir: Optional[Path] = None) -> PipelineResult
 
 def _write_generate(result: PipelineResult, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    # out_dir is where the file already lives; writing it would make
-    # otherwise identical runs differ byte-wise.
-    settings = {k: v for k, v in result.config.to_dict().items() if k != "out_dir"}
-    io_formats.save_json(out_dir / CONFIG_FILE, settings)
+    io_formats.save_json(out_dir / CONFIG_FILE, result.config.to_dict())
     io_formats.save_floorplan(out_dir / FLOORPLAN_FILE, result.plan)
 
 
@@ -288,8 +283,7 @@ def write_artifacts(result: PipelineResult, out_dir: Path) -> None:
 
 def _read_align_inputs(cfg: RunConfig, out_dir: Path) -> PipelineResult:
     result = PipelineResult(config=cfg, recordings=io_formats.load_recordings(out_dir))
-    report = out_dir / MATCH_REPORT_FILE
-    result.candidates, result.verified = io_formats.load_match_report(report)
+    result.candidates = io_formats.load_match_report(out_dir / MATCH_REPORT_FILE)
     result.keyframes = extract_all_keyframes(result.recordings)
     return result
 

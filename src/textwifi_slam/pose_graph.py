@@ -47,6 +47,9 @@ ROBUST_KERNEL_SCALE = 1.0
 # squared error is this fraction of the squared correspondence radius or
 # better. Correct same-place fits land orders of magnitude below it.
 SOLID_FIT_MSE_FRACTION = 0.05
+SOLID_FIT_MSE = (
+    SOLID_FIT_MSE_FRACTION * DEFAULT_CORRESPONDENCE_RADIUS_M * DEFAULT_CORRESPONDENCE_RADIUS_M
+)
 
 # Pairs handed out per worker request. A pair that falls back to the
 # four-heading sweep costs about five times one that does not, so small
@@ -90,7 +93,7 @@ class OptimizeStats:
         return sum(h[-1] for h in self.objective_histories if h)
 
 
-def register_keyframe_pair(a: Keyframe, b: Keyframe, **icp_kwargs) -> IcpResult:
+def register_keyframe_pair(a: Keyframe, b: Keyframe) -> IcpResult:
     """Register b's scan into a's scan frame.
 
     The first initial guess is the relative pose the odometry already
@@ -103,11 +106,9 @@ def register_keyframe_pair(a: Keyframe, b: Keyframe, **icp_kwargs) -> IcpResult:
     room pitch off, with plenty of overlap but a residual far above what
     the true alignment leaves. Such a fit must not skip the sweep.
     """
-    radius = icp_kwargs.get("correspondence_radius_m", DEFAULT_CORRESPONDENCE_RADIUS_M)
-    solid_mse = SOLID_FIT_MSE_FRACTION * radius * radius
     odometry_initial = relative_pose(a.odom_pose, b.odom_pose)
-    first = icp_register(b.scan, a.scan, odometry_initial, **icp_kwargs)
-    if first.converged and first.inlier_fraction >= 0.6 and first.mean_sq_error <= solid_mse:
+    first = icp_register(b.scan, a.scan, odometry_initial)
+    if first.converged and first.inlier_fraction >= 0.6 and first.mean_sq_error <= SOLID_FIT_MSE:
         return first
     rotations = [
         Pose2(0.0, 0.0, 0.0),
@@ -115,20 +116,18 @@ def register_keyframe_pair(a: Keyframe, b: Keyframe, **icp_kwargs) -> IcpResult:
         Pose2(0.0, 0.0, -math.pi / 2.0),
         Pose2(0.0, 0.0, math.pi),
     ]
-    rest = icp_register_multistart(b.scan, a.scan, rotations, **icp_kwargs)
+    rest = icp_register_multistart(b.scan, a.scan, rotations)
     return best_result((first, rest))
 
 
-# The pairs (and ICP settings) of each register_keyframe_pairs call in
-# progress, by call. Forked workers inherit this at fork, so only pair indices
-# go to them and only IcpResults come back.
-_registrations_in_progress: dict[int, tuple[list[tuple[Keyframe, Keyframe]], dict]] = {}
+# The pairs of each register_keyframe_pairs call in progress, by call.
+# Forked workers inherit this at fork, so only pair indices go to them and
+# only IcpResults come back.
+_registrations_in_progress: dict[int, list[tuple[Keyframe, Keyframe]]] = {}
 
 
 def _register_pair_at(call: int, index: int) -> IcpResult:
-    pairs, icp_kwargs = _registrations_in_progress[call]
-    a, b = pairs[index]
-    return register_keyframe_pair(a, b, **icp_kwargs)
+    return register_keyframe_pair(*_registrations_in_progress[call][index])
 
 
 def _registration_pool(pair_count: int) -> Optional[futures.ProcessPoolExecutor]:
@@ -148,10 +147,8 @@ def _registration_pool(pair_count: int) -> Optional[futures.ProcessPoolExecutor]
     return futures.ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
 
 
-def register_keyframe_pairs(
-    pairs: Sequence[tuple[Keyframe, Keyframe]], **icp_kwargs
-) -> list[IcpResult]:
-    """register_keyframe_pair(a, b, **icp_kwargs) for every pair, in order.
+def register_keyframe_pairs(pairs: Sequence[tuple[Keyframe, Keyframe]]) -> list[IcpResult]:
+    """register_keyframe_pair(a, b) for every pair, in order.
 
     With more than one pair and more than one usable CPU the pairs run in a
     pool of forked worker processes, which is shut down (its workers joined)
@@ -159,7 +156,7 @@ def register_keyframe_pairs(
     """
     pairs = list(pairs)
     call = id(pairs)
-    _registrations_in_progress[call] = (pairs, icp_kwargs)
+    _registrations_in_progress[call] = pairs
     try:
         register = functools.partial(_register_pair_at, call)
         pool = _registration_pool(len(pairs))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .simulate import AgentScript, NoiseModel
+from .simulate import TEXT_DETECTION_PROB, AgentScript, NoiseModel
 from .world import FloorPlan, generate_floorplan, room_center_x
 
 # Tuned so the odometry-only baseline accumulates more than a metre of
@@ -48,7 +48,7 @@ def _agent(
         waypoints=tuple(waypoints),
         noise=_noise_for(index, zero_noise),
         seed=seed * 1000 + index,
-        text_detection_prob=1.0 if zero_noise else 0.9,
+        text_detection_prob=1.0 if zero_noise else TEXT_DETECTION_PROB,
     )
 
 
@@ -126,8 +126,8 @@ def scripted_scenario(
     name: str,
     seed: int,
     *,
-    duplicate_text_count: int = 3,
-    zero_noise: bool = False,
+    duplicate_text_count: int,
+    zero_noise: bool,
 ) -> tuple[FloorPlan, list[AgentScript]]:
     """Build a named scene: floorplan with anchors plus agent scripts.
 

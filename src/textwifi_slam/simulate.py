@@ -49,6 +49,8 @@ TEXT_DETECTION_RANGE_M = 2.0
 TEXT_DETECTION_HALF_ANGLE_RAD = math.radians(60.0)
 # A sign in view is tried again only after this long.
 TEXT_ATTEMPT_COOLDOWN_S = 2.0
+# The odds that one attempt at a sign in view yields a reading.
+TEXT_DETECTION_PROB = 0.9
 
 
 @dataclass(frozen=True)
@@ -83,7 +85,7 @@ class AgentScript:
     waypoints: tuple[tuple[tuple[float, float], float], ...]  # ((x, y), hold_s)
     noise: NoiseModel = field(default_factory=NoiseModel)
     seed: int = 0
-    text_detection_prob: float = 0.9
+    text_detection_prob: float = TEXT_DETECTION_PROB
 
     def __post_init__(self) -> None:
         if not self.waypoints:

@@ -124,7 +124,7 @@ def test_generate_writes_world_and_settings(tmp_path, capsys):
         assert main(["generate", "--out", str(scene_out), "--scenario", scenario]) == 0
         cfg = json.loads((scene_out / "config.json").read_text())
         assert cfg["scenario"] == scenario
-        # Every run setting but out_dir; fixed values are module constants.
+        # Every run setting; fixed values are module constants.
         assert sorted(cfg) == [
             "alpha", "beta", "duplicate_text_count", "gamma", "scenario", "seed", "sweep",
             "zero_noise",
@@ -160,10 +160,57 @@ def test_each_stage_adds_exactly_its_own_files(tmp_path):
     }
     expected: list[str] = []
     for stage, files in promised.items():
-        assert main([stage, "--out", str(out), "--seed", "1"]) == 0, stage
+        args = [stage, "--out", str(out)] + (["--seed", "1"] if stage == "generate" else [])
+        assert main(args) == 0, stage
         expected = sorted(expected + files)
         assert sorted(p.name for p in out.iterdir()) == expected, stage
     assert expected == ARTIFACTS
+
+
+@pytest.fixture(scope="module")
+def simulated(tmp_path_factory):
+    """An artifact directory after generate --seed 1 and simulate."""
+    out = tmp_path_factory.mktemp("simulated") / "o"
+    assert main(["generate", "--out", str(out), "--seed", "1"]) == 0
+    assert main(["simulate", "--out", str(out)]) == 0
+    return out
+
+
+class TestReadersRunWithTheRecordedSettings:
+    """match, align and evaluate take their settings from config.json alone."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["match", "--alpha", "0.5"],
+            ["match", "--config", "f.json"],
+            ["align", "--seed", "2"],
+            ["evaluate", "--seed", "5"],
+            ["evaluate", "--scenario", "scene02"],
+        ],
+    )
+    def test_a_settings_flag_is_a_usage_error(self, simulated, tmp_path, capsys, argv):
+        config = tmp_path / "f.json"
+        config.write_text(json.dumps({"alpha": 0.5}))
+        argv = [str(config) if arg == "f.json" else arg for arg in argv]
+        before = {p.name: p.read_bytes() for p in simulated.iterdir()}
+        assert main(argv + ["--out", str(simulated)]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in simulated.iterdir()} == before
+
+    def test_evaluate_adds_a_sweep_and_keeps_the_seed(self, simulated):
+        out = str(simulated)
+        assert main(["match", "--out", out]) == 0
+        assert main(["align", "--out", out]) == 0
+
+        assert main(["evaluate", "--out", out, "--sweep"]) == 0
+        metrics = json.loads((simulated / "metrics.json").read_text())
+        assert (metrics["seed"], len(metrics["sweep"])) == (1, 9)
+
+        assert main(["evaluate", "--out", out]) == 0
+        metrics = json.loads((simulated / "metrics.json").read_text())
+        assert metrics["seed"] == 1
+        assert "sweep" not in metrics
 
 
 def test_run_all_reports_the_headline_numbers(tmp_path, capsys):

@@ -9,7 +9,7 @@ from textwifi_slam.place_recognition import Thresholds
 
 # Every setting a run may vary, and so every key a config file may hold.
 SETTINGS = (
-    "scenario", "seed", "out_dir", "alpha", "beta", "gamma",
+    "scenario", "seed", "alpha", "beta", "gamma",
     "duplicate_text_count", "zero_noise", "sweep",
 )
 
@@ -56,7 +56,6 @@ def test_validate_rejects_out_of_range_values(field, value):
         ("seed", True),
         ("duplicate_text_count", 3.0),
         ("scenario", 1),
-        ("out_dir", None),
     ],
 )
 def test_validate_rejects_values_of_the_wrong_type(field, value):
@@ -97,6 +96,14 @@ def test_file_cannot_set_a_module_constant(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"scenario": "scene01", "sigma_scale_db": 20.0}))
     with pytest.raises(ValueError, match="unknown config keys: sigma_scale_db"):
+        build_config(config_path=path)
+
+
+def test_file_cannot_name_the_artifact_directory(tmp_path):
+    # The CLI's --out names the directory; the settings live inside it.
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"scenario": "scene01", "out_dir": "runs/demo"}))
+    with pytest.raises(ValueError, match="unknown config keys: out_dir"):
         build_config(config_path=path)
 
 

@@ -55,11 +55,13 @@ def reference_icp_register(
     target: PointCloud2,
     initial: Pose2 = Pose2.identity(),
     *,
-    max_iterations: int,
-    correspondence_radius_m: float,
-    tolerance: float,
+    max_iterations: int = icp.DEFAULT_MAX_ITERATIONS,
+    correspondence_radius_m: float = icp.DEFAULT_CORRESPONDENCE_RADIUS_M,
+    tolerance: float = icp.DEFAULT_TOLERANCE,
 ) -> IcpResult:
-    """Reference registration: the ICP loop over Pose2 objects and the SVD fit."""
+    """Reference registration: the ICP loop over Pose2 objects and the SVD fit.
+
+    Its defaults are icp_register's, the settings the align stage runs with."""
     tree = cKDTree(target.points)
     pose = initial
     converged = False
@@ -243,12 +245,6 @@ def scene01_pairs():
 
 def test_kernel_matches_the_svd_loop_on_scene_pairs(scene01_pairs, monkeypatch):
     pairs = scene01_pairs
-    # The settings the align stage runs with: the icp defaults.
-    kwargs = dict(
-        max_iterations=icp.DEFAULT_MAX_ITERATIONS,
-        correspondence_radius_m=icp.DEFAULT_CORRESPONDENCE_RADIUS_M,
-        tolerance=icp.DEFAULT_TOLERANCE,
-    )
 
     def run(register) -> tuple[list[IcpResult], list[list[IcpResult]]]:
         def recorded(*args, **kw):
@@ -261,7 +257,7 @@ def test_kernel_matches_the_svd_loop_on_scene_pairs(scene01_pairs, monkeypatch):
         results = []
         for a, b in pairs:
             calls.append([])
-            results.append(register_keyframe_pair(a, b, **kwargs))
+            results.append(register_keyframe_pair(a, b))
         return results, calls
 
     got, got_calls = run(icp_register)

@@ -226,10 +226,10 @@ class TestMatchReport:
         verified = [[("a0", 0), ("a1", 3)]]
         settings = {"alpha": 0.8, "beta": 0.8, "gamma": 0.8}
         save_match_report(path, [self.C_FINITE, self.C_INF], verified, settings)
-        candidates, groups = load_match_report(path)
-        assert candidates == [self.C_FINITE, self.C_INF]
-        assert groups == verified
-        assert json.loads(path.read_text())["settings"] == settings
+        assert load_match_report(path) == [self.C_FINITE, self.C_INF]
+        document = json.loads(path.read_text())
+        assert document["verified_locations"] == [[["a0", 0], ["a1", 3]]]
+        assert document["settings"] == settings
 
 
 class TestTrajectories:

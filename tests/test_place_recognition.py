@@ -1,6 +1,7 @@
 """Keyframe extraction and the text/WiFi gate cascade."""
 
 import dataclasses
+import math
 from collections import Counter
 
 import pytest
@@ -15,10 +16,11 @@ from textwifi_slam.place_recognition import (
     generate_candidates,
     match_all,
     verified_locations,
+    wifi_verdict,
 )
 from textwifi_slam.simulate import AgentScript, simulate_recording
 from textwifi_slam.text_matching import text_similarity
-from textwifi_slam.wifi import build_fingerprint
+from textwifi_slam.wifi import WifiMatchScore, build_fingerprint
 from textwifi_slam.world import generate_floorplan
 
 from conftest import make_keyframe
@@ -112,6 +114,20 @@ def test_gate_cascade_verdicts():
     out = decide_match(a, far_rss, th)
     assert out.verdict == Verdict.REJECTED_RSS
     assert out.wifi_score.mac_similarity == 1.0
+
+
+def test_wifi_verdict_thresholds_are_inclusive():
+    th = Thresholds(alpha=0.8, beta=0.6, gamma=0.7)
+    below_beta, below_gamma = math.nextafter(0.6, 0.0), math.nextafter(0.7, 0.0)
+    assert wifi_verdict(WifiMatchScore(0.6, 3.0, 0.9), th) is Verdict.ACCEPTED
+    assert wifi_verdict(WifiMatchScore(0.9, 3.0, 0.7), th) is Verdict.ACCEPTED
+    assert wifi_verdict(WifiMatchScore(below_beta, 3.0, 0.9), th) is Verdict.REJECTED_MAC
+    assert wifi_verdict(WifiMatchScore(0.9, 3.0, below_gamma), th) is Verdict.REJECTED_RSS
+
+    # No shared access point: no RSS distance, and no threshold lets it through.
+    open_gates = Thresholds(alpha=0.0, beta=0.0, gamma=0.0)
+    no_overlap = WifiMatchScore(0.0, math.inf, 0.0)
+    assert wifi_verdict(no_overlap, open_gates) is Verdict.REJECTED_MAC
 
 
 def test_gate_scores_are_symmetric():

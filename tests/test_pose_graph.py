@@ -238,9 +238,7 @@ class TestRegisterPair:
             pose=compose(a_pose, Pose2(0.32, -0.18, 0.14)),
             scan_points=transform_points(inverse(true_rel), corridor_cloud.points),
         )
-        out = register_keyframe_pair(
-            a, b, correspondence_radius_m=40.0, tolerance=1e-10, max_iterations=100
-        )
+        out = register_keyframe_pair(a, b)
         assert out.converged
         assert out.inlier_fraction == 1.0
         assert pose_close(out.transform, true_rel, tol=1e-8)
@@ -253,9 +251,7 @@ class TestRegisterPair:
             pose=Pose2(100.0, 0.0, 0.0),  # odometry puts b nowhere near a
             scan_points=transform_points(inverse(true_rel), corridor_cloud.points),
         )
-        out = register_keyframe_pair(
-            a, b, correspondence_radius_m=40.0, tolerance=1e-10, max_iterations=150
-        )
+        out = register_keyframe_pair(a, b)
         assert out.converged
         assert pose_close(out.transform, true_rel, tol=1e-6)
 
@@ -297,7 +293,7 @@ class TestRegisterPair:
             pose=Pose2(12.3, 1.3, -0.89),
             scan_points=scan_from(facing_back, 8),
         )
-        out = register_keyframe_pair(a, b, correspondence_radius_m=2.0, max_iterations=50)
+        out = register_keyframe_pair(a, b)
         assert out.converged
         assert math.hypot(out.transform.x, out.transform.y) < 0.05
         assert abs(abs(out.transform.theta) - math.pi) < 0.01
@@ -343,8 +339,8 @@ class TestRegisterPairs:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         a = make_keyframe("a0", 0, 0.0)
         b = make_keyframe("a1", 0, 1.0, pose=Pose2(0.1, -0.1, 0.05))
-        out = register_keyframe_pairs([(a, b)] * count, max_iterations=20)
-        assert out == [register_keyframe_pair(a, b, max_iterations=20)] * count
+        out = register_keyframe_pairs([(a, b)] * count)
+        assert out == [register_keyframe_pair(a, b)] * count
 
     def test_a_failing_pair_raises_in_the_caller(self, two_cpus):
         a = make_keyframe("a0", 0, 0.0)
@@ -364,17 +360,17 @@ class TestRegisterPairs:
         stage exception into exit code 2, so this surfaces as a failed run."""
         register = pose_graph.register_keyframe_pair
 
-        def die_on_doomed(a, b, **kwargs):
+        def die_on_doomed(a, b):
             if b.agent_id == "doomed":
                 os._exit(1)
-            return register(a, b, **kwargs)
+            return register(a, b)
 
         monkeypatch.setattr(pose_graph, "register_keyframe_pair", die_on_doomed)
         a = make_keyframe("a0", 0, 0.0)
         b = make_keyframe("a1", 0, 1.0)
         doomed = make_keyframe("doomed", 0, 2.0)
         with pytest.raises(BrokenProcessPool):
-            register_keyframe_pairs([(a, b), (a, b), (a, doomed), (a, b)], max_iterations=20)
+            register_keyframe_pairs([(a, b), (a, b), (a, doomed), (a, b)])
         assert multiprocessing.active_children() == []
 
 

@@ -157,7 +157,7 @@ def test_named_anchor_lookup(plan):
     # a0 starts and a2 ends, which end-point error is measured between.
     assert plan.named_anchors == ()
     for name in scenario_names():
-        scene_plan, _ = scripted_scenario(name, 0)
+        scene_plan, _ = scripted_scenario(name, 0, duplicate_text_count=3, zero_noise=False)
         assert dict(scene_plan.named_anchors) == {"a0/start": (1.5, 1.5), "a2/end": (1.5, 1.5)}
 
 
