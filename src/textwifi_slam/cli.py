@@ -137,6 +137,8 @@ def _cmd_run_all(cfg: RunConfig, out_dir: Path) -> None:
         f"fused precision {pr['precision']:.3f} recall {pr['recall']:.3f}; "
         f"{traj['loop_edge_count']} loop edges"
     )
+    if "ate_optimized_m" in traj:
+        line += f"; absolute trajectory error {traj['ate_optimized_m']:.3f} m"
     if "epe_optimized_m" in traj:
         line += f"; end-point error {traj['epe_optimized_m']:.3f} m"
     print(line)

@@ -1,10 +1,11 @@
-"""Match-quality metrics and trajectory end-point error.
+"""Match-quality metrics, trajectory end-point error and map accuracy.
 
 Ground truth for a candidate pair comes from the simulator: two text
 observations are the same place exactly when they carry the same source
 sign id. Precision/recall are reported for the text gate alone, the WiFi
 gates alone, and the fused cascade, so the benefit of fusing is visible in
-one table.
+one table. Map accuracy is the absolute trajectory error of the keyframes
+against the simulator's true poses.
 """
 
 from __future__ import annotations
@@ -13,7 +14,10 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .geometry import Pose2
+import numpy as np
+
+from .geometry import Pose2, transform_points
+from .icp import _rigid_fit
 from .place_recognition import (
     Keyframe,
     MatchCandidate,
@@ -202,6 +206,34 @@ def end_point_error(
         truth_separation_m=truth_sep,
         estimated_separation_m=est_sep,
     )
+
+
+def absolute_trajectory_error(
+    keyframes: Sequence[Keyframe],
+    recordings: Mapping[str, Recording],
+    estimated: Mapping[NodeKey, Pose2],
+) -> float:
+    """RMSE of estimated keyframe positions against truth, in meters.
+
+    The estimate is first moved by the one rigid 2D transform that fits it
+    best to truth (_rigid_fit), so the error is the map's shape and not the
+    choice of its frame, as in Sturm et al., IROS 2012. Truth is each
+    keyframe's true pose at its timestamp; keyframes without an estimate
+    are left out.
+    """
+    scored = [kf for kf in keyframes if kf.key in estimated]
+    if len(scored) < 2:
+        raise ValueError("absolute trajectory error needs at least two estimated keyframes")
+    est = np.array([[estimated[kf.key].x, estimated[kf.key].y] for kf in scored])
+    truth = np.array(
+        [
+            [pose.x, pose.y]
+            for pose in (recordings[kf.agent_id].truth_at(kf.timestamp) for kf in scored)
+        ]
+    )
+    theta, _, _, tx, ty = _rigid_fit(est, truth)
+    aligned = transform_points(Pose2(tx, ty, theta), est)
+    return float(np.sqrt(np.mean(np.sum((aligned - truth) ** 2, axis=1))))
 
 
 def travel_distance_m(recordings: Mapping[str, Recording]) -> float:

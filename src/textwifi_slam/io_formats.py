@@ -192,6 +192,11 @@ def recording_path(out_dir: PathLike, agent_id: str) -> Path:
     return Path(out_dir) / f"recording_{agent_id}.jsonl"
 
 
+def recording_files(out_dir: PathLike) -> list[Path]:
+    """Every recording_*.jsonl under out_dir, sorted."""
+    return sorted(Path(out_dir).glob("recording_*.jsonl"))
+
+
 def save_recordings(out_dir: PathLike, recordings: Mapping[str, Recording]) -> None:
     for agent_id in sorted(recordings):
         save_recording(recording_path(out_dir, agent_id), recordings[agent_id])
@@ -201,7 +206,7 @@ def load_recordings(out_dir: PathLike) -> dict[str, Recording]:
     """Every recording_*.jsonl under out_dir, by agent; one file per agent."""
     recs: dict[str, Recording] = {}
     paths: dict[str, Path] = {}
-    for p in sorted(Path(out_dir).glob("recording_*.jsonl")):
+    for p in recording_files(out_dir):
         rec = load_recording(p)
         if rec.agent_id in recs:
             raise ValueError(

@@ -4,16 +4,20 @@ Each stage_* function is a plain computation over in-memory objects. This
 module also owns the artifact directory: file names, one writer per stage,
 and readers for what align and evaluate take back. run_all chains every
 stage and may write all artifacts; run_generate ... run_evaluate (the CLI
-commands) each run one stage against a directory through the same writers.
-Every stage is deterministic given the run config. Align registers its
-accepted matches in forked worker processes, one per usable CPU, and joins
-them before it returns; results do not depend on the worker count.
+commands) each run one stage against a directory through the same writers,
+and the generate writer removes the later stages' files first, so one
+directory never mixes two runs. Every stage is deterministic given the run
+config. Align registers its accepted matches one visit pair at a time (the
+first pair in full, the rest warm-started from it) in forked worker
+processes, one per usable CPU, and joins them before it returns; results
+do not depend on the worker count. Evaluate scores the matches and the map
+against the simulator's truth.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping, Optional
 
@@ -21,6 +25,7 @@ from . import io_formats
 from .config import RunConfig
 from .evaluation import (
     ScoreReport,
+    absolute_trajectory_error,
     end_point_error,
     score_candidates,
     threshold_sweep,
@@ -34,11 +39,13 @@ from .place_recognition import (
     NodeKey,
     Verdict,
     extract_keyframes,
+    group_visits,
     match_all,
     verified_locations,
 )
 from .pose_graph import (
     PoseGraph,
+    RegistrationWork,
     build_pose_graph,
     merge_maps,
     optimize_pose_graph,
@@ -58,6 +65,9 @@ MATCH_REPORT_FILE = "match_report.json"
 TRAJECTORIES_FILE = "trajectories.json"
 MERGED_MAP_FILE = "merged_map.json"
 METRICS_FILE = "metrics.json"
+# Written by the stages after generate; generate removes any it finds, so a
+# directory never pairs a new world with an old run's recordings or results.
+LATER_STAGE_FILES = (MATCH_REPORT_FILE, TRAJECTORIES_FILE, MERGED_MAP_FILE, METRICS_FILE)
 
 
 @dataclass
@@ -117,18 +127,26 @@ def stage_match(
 def stage_align(result: PipelineResult) -> None:
     """Register accepted matches, optimize the pose graph, merge the map.
 
-    The registrations run on every usable CPU (register_keyframe_pairs),
-    whose worker processes have exited when this returns. Fills graph,
-    initial, optimized, graph_summary and merged.
+    Accepted pairs are registered by visit pair (group_visits): the first
+    pair of each in full, its siblings warm-started from that fit. The
+    registrations run on every usable CPU (register_keyframe_pairs), whose
+    worker processes have exited when this returns. Fills graph, initial,
+    optimized, graph_summary (with the registration work counts) and merged.
     """
     by_key = result.keyframes_by_key
     accepted = [c for c in result.candidates if c.verdict is Verdict.ACCEPTED]
     registrations = register_keyframe_pairs(
-        [(by_key[cand.a], by_key[cand.b]) for cand in accepted]
+        [(by_key[cand.a], by_key[cand.b]) for cand in accepted],
+        group_visits(result.keyframes, result.config.alpha),
     )
-    graph = build_pose_graph(result.keyframes, list(zip(accepted, registrations)))
+    graph = build_pose_graph(
+        result.keyframes, [(cand, fit) for cand, (fit, _) in zip(accepted, registrations)]
+    )
     if not graph.loop_edges:
         log.warning("no usable loop closures; agents stay in their own odometry frames")
+    work = RegistrationWork()
+    for _, pair_work in registrations:
+        work += pair_work
     result.graph, result.initial = graph, dict(graph.nodes)
     result.optimized, stats = optimize_pose_graph(graph, return_stats=True)
     # The graph diagnostics that survive a round-trip through files.
@@ -137,6 +155,7 @@ def stage_align(result: PipelineResult) -> None:
         "dropped_loop_count": graph.dropped_loop_count,
         "objective_initial": stats.initial_objective,
         "objective_final": stats.final_objective,
+        "registration": asdict(work),
     }
     result.merged = merge_maps(result.optimized, result.keyframes)
 
@@ -196,6 +215,17 @@ def stage_evaluate(result: PipelineResult) -> dict:
         **result.graph_summary,
     }
 
+    if result.optimized:
+        try:
+            ate_initial, ate_optimized = (
+                absolute_trajectory_error(result.keyframes, result.recordings, poses)
+                for poses in (result.initial, result.optimized)
+            )
+        except ValueError as exc:
+            log.warning("absolute trajectory error unavailable: %s", exc)
+        else:
+            trajectory.update({"ate_initial_m": ate_initial, "ate_optimized_m": ate_optimized})
+
     labels = _find_anchor_labels(result.plan)
     if labels and result.optimized:
         anchors = dict(result.plan.named_anchors)
@@ -238,6 +268,8 @@ def run_all(cfg: RunConfig, *, out_dir: Optional[Path] = None) -> PipelineResult
 
 def _write_generate(result: PipelineResult, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
+    for stale in [*io_formats.recording_files(out_dir), *(out_dir / n for n in LATER_STAGE_FILES)]:
+        stale.unlink(missing_ok=True)
     io_formats.save_json(out_dir / CONFIG_FILE, result.config.to_dict())
     io_formats.save_floorplan(out_dir / FLOORPLAN_FILE, result.plan)
 

@@ -6,6 +6,8 @@ around it. Candidate keyframe pairs pass through two gates in order: text
 similarity (cheap, permissive) and then the WiFi fingerprint check, which is
 what tells two identical signs in different places apart. A few sign texts
 recur across many keyframes, so matching scores each distinct text pair once.
+An agent's consecutive reads of one sign form a visit (group_visits); the
+align stage registers the matches of one pair of visits together.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ FINGERPRINT_WINDOW_S = 3.0
 # Two keyframes of one agent are a revisit candidate only this far apart in
 # time, so successive sightings of one sign are not proposed as loops.
 MIN_LOOP_SEPARATION_S = 30.0
+# An agent's consecutive keyframes this far apart in time or more belong to
+# two visits (group_visits), whatever they read.
+VISIT_GAP_S = 10.0
 # The bisected fingerprint window is widened by this much, far more than any
 # rounding of the bounds, so the exact distance test alone decides membership.
 _WINDOW_SLACK_S = 1e-6
@@ -227,6 +232,28 @@ def match_all(keyframes: Sequence[Keyframe], thresholds: Thresholds) -> list[Mat
             text_score = text_scores[texts] = text_similarity(*texts)
         candidates.append(_scored_candidate(a, b, text_score, thresholds))
     return candidates
+
+
+def group_visits(keyframes: Sequence[Keyframe], alpha: float) -> dict[NodeKey, NodeKey]:
+    """Each keyframe's visit, named by the key of the visit's first keyframe.
+
+    A visit is a run of one agent's consecutive keyframes that read the same
+    sign as it walks past: a new visit starts when the gap to the agent's
+    previous keyframe is VISIT_GAP_S or more, or when the two texts score
+    below alpha. No ground truth is used.
+    """
+    visit: dict[NodeKey, NodeKey] = {}
+    prev = None
+    for kf in sorted(keyframes, key=lambda k: k.key):
+        same_visit = (
+            prev is not None
+            and prev.agent_id == kf.agent_id
+            and kf.timestamp - prev.timestamp < VISIT_GAP_S
+            and text_similarity(prev.text_obs.text, kf.text_obs.text) >= alpha
+        )
+        visit[kf.key] = visit[prev.key] if same_visit else kf.key
+        prev = kf
+    return visit
 
 
 def connected_components(

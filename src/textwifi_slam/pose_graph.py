@@ -3,13 +3,15 @@ and map merging.
 
 Nodes are keyframes, odometry edges chain consecutive keyframes of one
 agent, and loop edges carry scan-registration results between matched
-keyframes. Those registrations are independent of each other, so
-register_keyframe_pairs spreads them over one forked worker process per CPU
-the process may run on, and runs them in-process when it cannot. The
-optimizer is iteratively reweighted Gauss-Newton with a Huber kernel and
-Levenberg-style damping: a step is only taken when it lowers the robust
-objective, so the objective history is non-increasing by construction (and
-asserted).
+keyframes. An agent reads a sign several times as it walks past, so one
+pair of visits gives several matched pairs: register_keyframe_pairs
+registers the first pair of each visit pair in full and starts the others
+from its fit. Visit pairs are independent of each other, so it spreads them
+over one forked worker process per CPU the process may run on, and runs
+them in-process when it cannot. The optimizer is iteratively reweighted
+Gauss-Newton with a Huber kernel and Levenberg-style damping: a step is
+only taken when it lowers the robust objective, so the objective history is
+non-increasing by construction (and asserted).
 """
 
 from __future__ import annotations
@@ -24,14 +26,8 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .geometry import Pose2, PointCloud2, relative_pose, transform_points
-from .icp import (
-    DEFAULT_CORRESPONDENCE_RADIUS_M,
-    IcpResult,
-    best_result,
-    icp_register,
-    icp_register_multistart,
-)
+from .geometry import Pose2, PointCloud2, compose, relative_pose, transform_points
+from .icp import DEFAULT_CORRESPONDENCE_RADIUS_M, IcpResult, best_result, icp_register
 from .place_recognition import Keyframe, MatchCandidate, NodeKey, connected_components
 
 log = logging.getLogger(__name__)
@@ -51,10 +47,17 @@ SOLID_FIT_MSE = (
     SOLID_FIT_MSE_FRACTION * DEFAULT_CORRESPONDENCE_RADIUS_M * DEFAULT_CORRESPONDENCE_RADIUS_M
 )
 
-# Pairs handed out per worker request. A pair that falls back to the
-# four-heading sweep costs about five times one that does not, so small
-# chunks keep the workers evenly loaded until the last pair.
-REGISTRATION_CHUNK_PAIRS = 2
+# The co-located starts of the heading sweep: two agents can face a sign
+# from opposite directions.
+SWEEP_HEADINGS = tuple(
+    Pose2(0.0, 0.0, theta) for theta in (0.0, math.pi / 2.0, -math.pi / 2.0, math.pi)
+)
+
+# Visit pairs handed out per worker request. A visit pair holds one to a
+# dozen keyframe pairs, and one whose first pair sweeps costs several times
+# one whose odometry guess holds, so one per request keeps the workers
+# evenly loaded until the last visit pair.
+REGISTRATION_CHUNK_VISIT_PAIRS = 1
 
 
 @dataclass(frozen=True)
@@ -79,6 +82,28 @@ class PoseGraph:
 
 
 @dataclass
+class RegistrationWork:
+    """What registering keyframe pairs cost, in deterministic counts.
+
+    icp_calls and icp_iterations cover every icp_register run, losing sweep
+    starts included; sweeps counts heading sweeps run; warm_starts counts
+    pairs started from their visit pair's first fit, and warm_fallbacks
+    those whose warm fit was not solid, so they also ran the full path.
+    """
+
+    icp_calls: int = 0
+    icp_iterations: int = 0
+    sweeps: int = 0
+    warm_starts: int = 0
+    warm_fallbacks: int = 0
+
+    def __iadd__(self, other: "RegistrationWork") -> "RegistrationWork":
+        for name, value in vars(other).items():
+            setattr(self, name, getattr(self, name) + value)
+        return self
+
+
+@dataclass
 class OptimizeStats:
     """Per-component objective traces, for diagnostics and tests."""
 
@@ -93,8 +118,20 @@ class OptimizeStats:
         return sum(h[-1] for h in self.objective_histories if h)
 
 
-def register_keyframe_pair(a: Keyframe, b: Keyframe) -> IcpResult:
-    """Register b's scan into a's scan frame.
+def _is_solid(fit: IcpResult) -> bool:
+    return fit.converged and fit.inlier_fraction >= 0.6 and fit.mean_sq_error <= SOLID_FIT_MSE
+
+
+def _counted_icp(work: RegistrationWork, a: Keyframe, b: Keyframe, initial: Pose2) -> IcpResult:
+    """icp_register of b's scan into a's, counted in work."""
+    fit = icp_register(b.scan, a.scan, initial)
+    work.icp_calls += 1
+    work.icp_iterations += fit.iterations
+    return fit
+
+
+def register_keyframe_pair(a: Keyframe, b: Keyframe, work: RegistrationWork) -> IcpResult:
+    """Register b's scan into a's scan frame, counting the ICP runs in work.
 
     The first initial guess is the relative pose the odometry already
     implies; if that converges with solid overlap and a tight fit it wins.
@@ -106,37 +143,67 @@ def register_keyframe_pair(a: Keyframe, b: Keyframe) -> IcpResult:
     room pitch off, with plenty of overlap but a residual far above what
     the true alignment leaves. Such a fit must not skip the sweep.
     """
-    odometry_initial = relative_pose(a.odom_pose, b.odom_pose)
-    first = icp_register(b.scan, a.scan, odometry_initial)
-    if first.converged and first.inlier_fraction >= 0.6 and first.mean_sq_error <= SOLID_FIT_MSE:
+    first = _counted_icp(work, a, b, relative_pose(a.odom_pose, b.odom_pose))
+    if _is_solid(first):
         return first
-    rotations = [
-        Pose2(0.0, 0.0, 0.0),
-        Pose2(0.0, 0.0, math.pi / 2.0),
-        Pose2(0.0, 0.0, -math.pi / 2.0),
-        Pose2(0.0, 0.0, math.pi),
-    ]
-    rest = icp_register_multistart(b.scan, a.scan, rotations)
-    return best_result((first, rest))
+    work.sweeps += 1
+    return best_result([first, *(_counted_icp(work, a, b, h) for h in SWEEP_HEADINGS)])
 
 
-# The pairs of each register_keyframe_pairs call in progress, by call.
-# Forked workers inherit this at fork, so only pair indices go to them and
-# only IcpResults come back.
-_registrations_in_progress: dict[int, list[tuple[Keyframe, Keyframe]]] = {}
+def _register_sibling(
+    pair: tuple[Keyframe, Keyframe],
+    first_pair: tuple[Keyframe, Keyframe],
+    first: IcpResult,
+    work: RegistrationWork,
+) -> IcpResult:
+    """Register a pair whose visit pair's first pair was registered as first.
+
+    Both scans were taken a few meters from the first pair's, so ICP starts
+    from the first fit carried over by each agent's short odometry between
+    the two keyframes. Only a fit that is not solid falls back to
+    register_keyframe_pair, and the better of the two fits is kept.
+    """
+    (a, b), (a0, b0) = pair, first_pair
+    guess = compose(
+        compose(relative_pose(a.odom_pose, a0.odom_pose), first.transform),
+        relative_pose(b0.odom_pose, b.odom_pose),
+    )
+    work.warm_starts += 1
+    warm = _counted_icp(work, a, b, guess)
+    if _is_solid(warm):
+        return warm
+    work.warm_fallbacks += 1
+    return best_result((warm, register_keyframe_pair(a, b, work)))
 
 
-def _register_pair_at(call: int, index: int) -> IcpResult:
-    return register_keyframe_pair(*_registrations_in_progress[call][index])
+# The pairs of each register_keyframe_pairs call in progress, by call, with
+# the pair indices of each visit pair. Forked workers inherit this at fork,
+# so only visit-pair indices go to them and only results come back.
+_registrations_in_progress: dict[int, tuple[list[tuple[Keyframe, Keyframe]], list[list[int]]]] = {}
 
 
-def _registration_pool(pair_count: int) -> Optional[futures.ProcessPoolExecutor]:
+def _register_visit_pair(call: int, task: int) -> list[tuple[IcpResult, RegistrationWork]]:
+    """Register one visit pair's pairs in order: the first in full, the
+    rest warm-started from its fit."""
+    pairs, visit_pairs = _registrations_in_progress[call]
+    first_index, *sibling_indices = visit_pairs[task]
+    work = RegistrationWork()
+    first = register_keyframe_pair(*pairs[first_index], work)
+    registered = [(first, work)]
+    for index in sibling_indices:
+        work = RegistrationWork()
+        fit = _register_sibling(pairs[index], pairs[first_index], first, work)
+        registered.append((fit, work))
+    return registered
+
+
+def _registration_pool(task_count: int) -> Optional[futures.ProcessPoolExecutor]:
     """A fork pool with one worker per CPU in the affinity mask, never more
-    than the pairs; None (register in-process) with fewer than two pairs,
+    than the tasks; None (register in-process) with fewer than two tasks,
     one usable CPU, or no fork start method."""
-    if pair_count < 2 or not hasattr(os, "sched_getaffinity"):
+    if task_count < 2 or not hasattr(os, "sched_getaffinity"):
         return None
-    workers = min(len(os.sched_getaffinity(0)), pair_count)
+    workers = min(len(os.sched_getaffinity(0)), task_count)
     # Imported here so that commands which never register pairs start
     # without loading multiprocessing.
     import multiprocessing
@@ -147,27 +214,44 @@ def _registration_pool(pair_count: int) -> Optional[futures.ProcessPoolExecutor]
     return futures.ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
 
 
-def register_keyframe_pairs(pairs: Sequence[tuple[Keyframe, Keyframe]]) -> list[IcpResult]:
-    """register_keyframe_pair(a, b) for every pair, in order.
+def register_keyframe_pairs(
+    pairs: Sequence[tuple[Keyframe, Keyframe]], visit: Mapping[NodeKey, NodeKey]
+) -> list[tuple[IcpResult, RegistrationWork]]:
+    """Register every pair, with the work each took, in the order given.
 
-    With more than one pair and more than one usable CPU the pairs run in a
-    pool of forked worker processes, which is shut down (its workers joined)
-    before this returns. An exception from any pair is raised here.
+    Pairs are grouped, in order, by visit pair: (visit[a.key], visit[b.key]),
+    with visit from place_recognition.group_visits. The first pair of each
+    visit pair goes through register_keyframe_pair; the others start from
+    its fit (_register_sibling). A visit pair is one unit of work: with more
+    than one and more than one usable CPU they run in a pool of forked
+    worker processes, which is shut down (its workers joined) before this
+    returns. Each visit pair is registered the same way wherever it runs,
+    so the results do not depend on the worker count. An exception from any
+    pair is raised here.
     """
     pairs = list(pairs)
+    by_visit_pair: dict[tuple[NodeKey, NodeKey], list[int]] = {}
+    for index, (a, b) in enumerate(pairs):
+        by_visit_pair.setdefault((visit[a.key], visit[b.key]), []).append(index)
+    visit_pairs = list(by_visit_pair.values())
     call = id(pairs)
-    _registrations_in_progress[call] = pairs
+    _registrations_in_progress[call] = (pairs, visit_pairs)
     try:
-        register = functools.partial(_register_pair_at, call)
-        pool = _registration_pool(len(pairs))
+        register = functools.partial(_register_visit_pair, call)
+        tasks = range(len(visit_pairs))
+        pool = _registration_pool(len(visit_pairs))
         if pool is None:
-            return list(map(register, range(len(pairs))))
-        with pool:
-            return list(
-                pool.map(register, range(len(pairs)), chunksize=REGISTRATION_CHUNK_PAIRS)
-            )
+            done = list(map(register, tasks))
+        else:
+            with pool:
+                done = list(pool.map(register, tasks, chunksize=REGISTRATION_CHUNK_VISIT_PAIRS))
     finally:
         del _registrations_in_progress[call]
+    results: list = [None] * len(pairs)
+    for indices, registered in zip(visit_pairs, done):
+        for index, entry in zip(indices, registered):
+            results[index] = entry
+    return results
 
 
 def build_pose_graph(
@@ -342,6 +426,10 @@ def _optimize_component(
     if problem.n_edges == 0 or len(problem.keys) < 2:
         return x, history
 
+    # Imported here so that commands which never optimize start without it.
+    from scipy.sparse import csc_matrix
+    from scipy.sparse.linalg import splu
+
     n = len(problem.keys)
     free = np.ones(3 * n, dtype=bool)
     free[0:3] = False  # the first node is the gauge and stays put
@@ -355,9 +443,12 @@ def _optimize_component(
         accepted = False
         for _attempt in range(10):
             damped = H_red + lam * np.diag(np.maximum(np.diagonal(H_red), 1e-12))
+            # A sparse LU, not LAPACK's dense solve: that one rounds
+            # differently with the number of BLAS threads, which follows the
+            # CPUs the process may use, and the poses must not.
             try:
-                delta_red = np.linalg.solve(damped, -b_red)
-            except np.linalg.LinAlgError:
+                delta_red = splu(csc_matrix(damped)).solve(-b_red)
+            except RuntimeError:  # exactly singular
                 lam *= 10.0
                 continue
             candidate = x.copy()

@@ -167,6 +167,24 @@ def test_each_stage_adds_exactly_its_own_files(tmp_path):
     assert expected == ARTIFACTS
 
 
+@pytest.mark.parametrize("stage", ["generate", "simulate"])
+def test_rewriting_the_world_removes_a_previous_runs_artifacts(tmp_path, capsys, stage):
+    """Recordings and results of an earlier run must not outlive a new world:
+    evaluate would score them and label them with the new settings."""
+    out = tmp_path / "o"
+    assert main(["generate", "--out", str(out)]) == 0
+    for name in ARTIFACTS[2:] + ["recording_gone.jsonl", "notes.txt"]:
+        (out / name).write_text("from an earlier run\n")
+    assert main([stage, "--out", str(out), "--scenario", "scene02", "--seed", "3"]) == 0
+    kept = ["config.json", "floorplan.json", "notes.txt"]
+    if stage == "simulate":
+        kept += ["recording_a0.jsonl", "recording_a1.jsonl", "recording_a2.jsonl"]
+    assert sorted(p.name for p in out.iterdir()) == sorted(kept)
+    assert (out / "notes.txt").read_text() == "from an earlier run\n"
+    assert main(["evaluate", "--out", str(out)]) == 2
+    assert "pipeline error" in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def simulated(tmp_path_factory):
     """An artifact directory after generate --seed 1 and simulate."""
@@ -232,4 +250,19 @@ def test_run_all_reports_the_headline_numbers(tmp_path, capsys):
     metrics = json.loads((out / "metrics.json").read_text())
     assert metrics["seed"] == 1
     assert len(metrics["sweep"]) == 9
-    assert metrics["trajectory"]["loop_edge_count"] > 0
+    trajectory = metrics["trajectory"]
+    assert trajectory["loop_edge_count"] > 0
+    # Loop closures make the map far more accurate than dead reckoning.
+    assert trajectory["ate_optimized_m"] < 0.5 * trajectory["ate_initial_m"]
+    assert "absolute trajectory error" in printed
+
+    # The registration work, summed over the align stage's workers.
+    accepted = sum(1 for c in report["candidates"] if c["verdict"] == "accepted")
+    work = trajectory["registration"]
+    assert sorted(work) == [
+        "icp_calls", "icp_iterations", "sweeps", "warm_fallbacks", "warm_starts"
+    ]
+    assert 0 < work["warm_fallbacks"] < work["warm_starts"] < accepted
+    # One call per pair, one more per fallback, four more per sweep.
+    assert work["icp_calls"] == accepted + work["warm_fallbacks"] + 4 * work["sweeps"]
+    assert work["icp_iterations"] >= work["icp_calls"]

@@ -7,12 +7,13 @@ import pytest
 from textwifi_slam.config import RunConfig
 from textwifi_slam.evaluation import (
     PrMetrics,
+    absolute_trajectory_error,
     end_point_error,
     score_candidates,
     threshold_sweep,
     travel_distance_m,
 )
-from textwifi_slam.geometry import Pose2
+from textwifi_slam.geometry import Pose2, compose
 from textwifi_slam.place_recognition import MatchCandidate, Thresholds, Verdict, decide_match
 from textwifi_slam.simulate import Recording, TruthSample
 from textwifi_slam.wifi import WifiMatchScore
@@ -192,6 +193,44 @@ class TestEndPointError:
         del self.estimated[("a2", 0)]
         with pytest.raises(ValueError, match="missing"):
             self.report()
+
+
+class TestAbsoluteTrajectoryError:
+    TRUTH = [(0.0, 0.0, 0.0), (1.0, 4.0, 0.0), (2.0, 4.0, 3.0), (3.0, 0.0, 3.0)]
+
+    def setup_method(self):
+        self.keyframes = [make_keyframe("a0", i, t) for i, (t, _, _) in enumerate(self.TRUTH)]
+        self.recordings = {"a0": truth_recording("a0", self.TRUTH)}
+
+    def ate(self, estimated):
+        return absolute_trajectory_error(self.keyframes, self.recordings, estimated)
+
+    def test_a_rigidly_moved_truth_scores_zero(self):
+        frame = Pose2(-7.0, 2.5, 2.0)
+        moved = {
+            kf.key: compose(frame, Pose2(x, y, 0.0))
+            for kf, (_, x, y) in zip(self.keyframes, self.TRUTH)
+        }
+        assert self.ate(moved) == pytest.approx(0.0, abs=1e-12)
+
+    def test_error_is_the_rms_after_the_best_alignment(self):
+        # Opposite corners pushed out along the diagonal by 0.1 m each: the
+        # centroid and heading stay, so the best alignment is the identity.
+        d = 0.1 / math.hypot(4.0, 3.0)
+        estimated = {
+            ("a0", 0): Pose2(-4.0 * d, -3.0 * d, 0.0),
+            ("a0", 1): Pose2(4.0, 0.0, 0.0),
+            ("a0", 2): Pose2(4.0 + 4.0 * d, 3.0 + 3.0 * d, 0.0),
+            ("a0", 3): Pose2(0.0, 3.0, 0.0),
+        }
+        assert self.ate(estimated) == pytest.approx(math.sqrt(2.0 * 0.01 / 4.0), abs=1e-12)
+
+    def test_keyframes_without_an_estimate_are_left_out(self):
+        estimated = {kf.key: Pose2(x, y, 0.0) for kf, (_, x, y) in zip(self.keyframes, self.TRUTH)}
+        del estimated[("a0", 3)]
+        assert self.ate(estimated) == pytest.approx(0.0, abs=1e-12)
+        with pytest.raises(ValueError, match="two"):
+            self.ate({("a0", 0): Pose2(0.0, 0.0, 0.0)})
 
 
 def test_travel_distance_sums_all_agents():

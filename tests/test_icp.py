@@ -22,7 +22,7 @@ from textwifi_slam.geometry import (
 )
 from textwifi_slam.icp import IcpResult, _rigid_fit, icp_register, icp_register_multistart
 from textwifi_slam.place_recognition import Verdict
-from textwifi_slam.pose_graph import register_keyframe_pair
+from textwifi_slam.pose_graph import RegistrationWork, register_keyframe_pair
 
 from conftest import L_SHAPE
 
@@ -257,7 +257,7 @@ def test_kernel_matches_the_svd_loop_on_scene_pairs(scene01_pairs, monkeypatch):
         results = []
         for a, b in pairs:
             calls.append([])
-            results.append(register_keyframe_pair(a, b))
+            results.append(register_keyframe_pair(a, b, RegistrationWork()))
         return results, calls
 
     got, got_calls = run(icp_register)

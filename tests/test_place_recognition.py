@@ -14,6 +14,7 @@ from textwifi_slam.place_recognition import (
     decide_match,
     extract_keyframes,
     generate_candidates,
+    group_visits,
     match_all,
     verified_locations,
     wifi_verdict,
@@ -225,3 +226,34 @@ def test_verified_locations_groups_accepted_pairs():
 
 def test_verified_locations_empty_input():
     assert verified_locations([]) == []
+
+
+class TestGroupVisits:
+    """An agent's consecutive keyframes form one visit until a gap or a new text."""
+
+    def test_a_gap_of_the_visit_gap_or_more_starts_a_visit(self):
+        gap = place_recognition.VISIT_GAP_S
+        times = [0.0, 4.0, 4.0 + gap - 1e-6, 4.0 + 2.0 * gap, 50.0]
+        kfs = [make_keyframe("a0", i, t) for i, t in enumerate(times)]
+        visit = group_visits(kfs, alpha=0.8)
+        assert [visit[kf.key] for kf in kfs] == [
+            ("a0", 0), ("a0", 0), ("a0", 0), ("a0", 3), ("a0", 4)
+        ]
+
+    def test_a_text_below_alpha_starts_a_visit(self):
+        kfs = [
+            make_keyframe("a0", 0, 0.0, text="ROOM A-101"),
+            make_keyframe("a0", 1, 1.0, text="ROOM A-1O1"),  # a misread still passes alpha
+            make_keyframe("a0", 2, 2.0, text="FIRE EXIT", sign_id="s9"),
+            make_keyframe("a0", 3, 3.0, text="FIRE EXIT", sign_id="s9"),
+        ]
+        assert text_similarity("ROOM A-101", "ROOM A-1O1") >= 0.8
+        visit = group_visits(kfs, alpha=0.8)
+        assert [visit[kf.key] for kf in kfs] == [("a0", 0), ("a0", 0), ("a0", 2), ("a0", 2)]
+        # With alpha above the misread's score it starts a visit of its own.
+        strict = group_visits(kfs, alpha=1.0)
+        assert [strict[kf.key] for kf in kfs] == [("a0", 0), ("a0", 1), ("a0", 2), ("a0", 2)]
+
+    def test_agents_never_share_a_visit(self):
+        kfs = [make_keyframe("a1", 0, 0.5), make_keyframe("a0", 0, 0.0)]
+        assert group_visits(kfs, alpha=0.8) == {("a0", 0): ("a0", 0), ("a1", 0): ("a1", 0)}

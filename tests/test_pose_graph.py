@@ -3,6 +3,8 @@
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 from concurrent import futures
 from concurrent.futures.process import BrokenProcessPool
 
@@ -13,11 +15,12 @@ from textwifi_slam import icp, pipeline, pose_graph
 from textwifi_slam.config import config_for_scenario
 from textwifi_slam.geometry import Pose2, compose, inverse, relative_pose, transform_points
 from textwifi_slam.icp import IcpResult
-from textwifi_slam.place_recognition import MatchCandidate, Verdict
+from textwifi_slam.place_recognition import MatchCandidate, Verdict, group_visits
 from textwifi_slam.pose_graph import (
     OptimizeStats,
     PoseGraph,
     PoseGraphEdge,
+    RegistrationWork,
     _ComponentProblem,
     build_pose_graph,
     merge_maps,
@@ -135,6 +138,55 @@ class TestOptimize:
             optimize_pose_graph(bad_weight)
 
 
+# A 150-node chain with 300 noisy loops: big enough that LAPACK's dense
+# solve splits its work over BLAS threads.
+_BIG_GRAPH_SOLUTION = """
+import random
+from textwifi_slam.geometry import Pose2, compose, relative_pose
+from textwifi_slam.pose_graph import PoseGraph, PoseGraphEdge, optimize_pose_graph
+
+rng = random.Random(3)
+truth = [Pose2(0.0, 0.0, 0.0)]
+for _ in range(149):
+    truth.append(compose(truth[-1], Pose2(1.0, 0.0, rng.uniform(-0.3, 0.3))))
+keys = [("a0", i) for i in range(150)]
+
+def measured(i, j):
+    rel = relative_pose(truth[i], truth[j])
+    noise = (rng.gauss(0, 0.05), rng.gauss(0, 0.05), rng.gauss(0, 0.01))
+    return Pose2(rel.x + noise[0], rel.y + noise[1], rel.theta + noise[2])
+
+odometry = [
+    PoseGraphEdge(keys[i], keys[i + 1], measured(i, i + 1), 1.0, "odometry")
+    for i in range(149)
+]
+loops = [
+    PoseGraphEdge(keys[i], keys[j], measured(i, j), 4.0, "loop")
+    for i, j in (sorted(rng.sample(range(150), 2)) for _ in range(300))
+]
+nodes = {keys[0]: truth[0]}
+for edge in odometry:
+    nodes[edge.b] = compose(nodes[edge.a], edge.relative)
+print(repr(sorted(optimize_pose_graph(PoseGraph(nodes, odometry, loops)).items())))
+"""
+
+
+def test_solution_does_not_depend_on_the_blas_thread_count():
+    """The CPUs a process may use set OpenBLAS's thread count, and with it
+    the rounding of a dense LAPACK solve; the optimized poses must not move."""
+    src = os.path.dirname(os.path.dirname(pose_graph.__file__))
+    solutions = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", _BIG_GRAPH_SOLUTION],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        solutions.append(run.stdout)
+    assert solutions[0] == solutions[1]
+    assert solutions[0].count("Pose2") == 150
+
+
 class TestNormalEquations:
     """The linearization must agree with the objective it claims to model."""
 
@@ -238,10 +290,12 @@ class TestRegisterPair:
             pose=compose(a_pose, Pose2(0.32, -0.18, 0.14)),
             scan_points=transform_points(inverse(true_rel), corridor_cloud.points),
         )
-        out = register_keyframe_pair(a, b)
+        work = RegistrationWork()
+        out = register_keyframe_pair(a, b, work)
         assert out.converged
         assert out.inlier_fraction == 1.0
         assert pose_close(out.transform, true_rel, tol=1e-8)
+        assert work == RegistrationWork(icp_calls=1, icp_iterations=out.iterations)
 
     def test_falls_back_to_rotation_sweep_when_odometry_lies(self, corridor_cloud):
         true_rel = Pose2(0.0, 0.0, math.pi / 2.0)
@@ -251,9 +305,12 @@ class TestRegisterPair:
             pose=Pose2(100.0, 0.0, 0.0),  # odometry puts b nowhere near a
             scan_points=transform_points(inverse(true_rel), corridor_cloud.points),
         )
-        out = register_keyframe_pair(a, b)
+        work = RegistrationWork()
+        out = register_keyframe_pair(a, b, work)
         assert out.converged
         assert pose_close(out.transform, true_rel, tol=1e-6)
+        assert (work.icp_calls, work.sweeps, work.warm_starts) == (5, 1, 0)
+        assert work.icp_iterations > out.iterations  # the losing starts count too
 
     def test_odometry_fit_beats_an_equal_sweep_result(self, monkeypatch):
         def equal_rank(source, target, initial, **kwargs):
@@ -264,7 +321,7 @@ class TestRegisterPair:
         monkeypatch.setattr(pose_graph, "icp_register", equal_rank)
         a = make_keyframe("a0", 0, 0.0)
         b = make_keyframe("a1", 0, 1.0, pose=Pose2(1.0, 0.5, 0.3))
-        out = register_keyframe_pair(a, b)
+        out = register_keyframe_pair(a, b, RegistrationWork())
         assert out.transform == Pose2(1.0, 0.5, 0.3)
 
     def test_corridor_aliased_odometry_fit_does_not_win(self):
@@ -293,11 +350,79 @@ class TestRegisterPair:
             pose=Pose2(12.3, 1.3, -0.89),
             scan_points=scan_from(facing_back, 8),
         )
-        out = register_keyframe_pair(a, b)
+        out = register_keyframe_pair(a, b, RegistrationWork())
         assert out.converged
         assert math.hypot(out.transform.x, out.transform.y) < 0.05
         assert abs(abs(out.transform.theta) - math.pi) < 0.01
         assert out.mean_sq_error < 0.01
+
+
+def one_visit_each(*keyframes) -> dict:
+    """A visit map in which every keyframe is a visit of its own."""
+    return {kf.key: kf.key for kf in keyframes}
+
+
+class TestVisitPairs:
+    """Siblings of a visit pair start from the first pair's fit."""
+
+    def test_a_sibling_starts_from_the_first_fit(self, corridor_cloud):
+        # a's agent stands still; b's agent has drifted 100 m but its short
+        # in-visit odometry (b0 -> b) is right, so the first fit carries over.
+        target = corridor_cloud.points
+        first_rel = Pose2(0.0, 0.0, math.pi / 2.0)
+        step = Pose2(0.3, 0.0, 0.05)
+        sibling_rel = compose(first_rel, step)
+        a0 = make_keyframe("a0", 0, 0.0, scan_points=target)
+        a = make_keyframe("a0", 1, 1.0, scan_points=target)
+        b0 = make_keyframe(
+            "a1", 0, 0.0,
+            pose=Pose2(100.0, 0.0, 0.0),
+            scan_points=transform_points(inverse(first_rel), target),
+        )
+        b = make_keyframe(
+            "a1", 1, 1.0,
+            pose=compose(b0.odom_pose, step),
+            scan_points=transform_points(inverse(sibling_rel), target),
+        )
+        visit = group_visits([a0, a, b0, b], alpha=0.8)
+        assert visit == {a0.key: a0.key, a.key: a0.key, b0.key: b0.key, b.key: b0.key}
+        (first, first_work), (sibling, sibling_work) = register_keyframe_pairs(
+            [(a0, b0), (a, b)], visit
+        )
+        assert pose_close(first.transform, first_rel, tol=1e-6)
+        assert first_work.sweeps == 1 and first_work.warm_starts == 0
+        assert pose_close(sibling.transform, sibling_rel, tol=1e-6)
+        assert sibling_work == RegistrationWork(
+            icp_calls=1, icp_iterations=sibling.iterations, warm_starts=1
+        )
+
+    @pytest.mark.parametrize("best", ["warm", "sweep"])
+    def test_a_non_solid_warm_fit_falls_back_and_keeps_the_best(self, monkeypatch, best):
+        a0, a = make_keyframe("a0", 0, 0.0), make_keyframe("a0", 1, 1.0)
+        b0 = make_keyframe("a1", 0, 0.0, pose=Pose2(1.0, 0.5, 0.3))
+        b = make_keyframe("a1", 1, 1.0, pose=Pose2(1.2, 0.5, 0.3))
+        # Every fit stays where it started: converged, never solid (inliers
+        # 0.5), with the lowest error at the start named by best.
+        first_fit = relative_pose(a0.odom_pose, b0.odom_pose)
+        warm_guess = compose(
+            compose(relative_pose(a.odom_pose, a0.odom_pose), first_fit),
+            relative_pose(b0.odom_pose, b.odom_pose),
+        )
+        lowest = warm_guess if best == "warm" else Pose2(0.0, 0.0, math.pi)
+
+        def stay(source, target, initial, **kwargs):
+            return IcpResult(initial, 0.01 if initial == lowest else 0.04, 5, True, 0.5)
+
+        monkeypatch.setattr(pose_graph, "icp_register", stay)
+        (_, first_work), (sibling, work) = register_keyframe_pairs(
+            [(a0, b0), (a, b)], group_visits([a0, a, b0, b], alpha=0.8)
+        )
+        assert first_work == RegistrationWork(icp_calls=5, icp_iterations=25, sweeps=1)
+        # The warm fit, then the odometry guess and the four-heading sweep.
+        assert work == RegistrationWork(
+            icp_calls=6, icp_iterations=30, sweeps=1, warm_starts=1, warm_fallbacks=1
+        )
+        assert sibling.transform == lowest
 
 
 @pytest.fixture
@@ -308,27 +433,47 @@ def two_cpus(monkeypatch):
 
 @pytest.fixture(scope="module")
 def scene01_accepted_pairs():
-    """Every accepted keyframe pair of scene01 seed 0."""
+    """Every accepted keyframe pair of scene01 seed 0, with the visit map."""
     cfg = config_for_scenario("scene01", seed=0)
     recordings = pipeline.stage_simulate(*pipeline.stage_generate(cfg))
     keyframes, candidates, _ = pipeline.stage_match(recordings, cfg)
     by_key = {kf.key: kf for kf in keyframes}
-    return [(by_key[c.a], by_key[c.b]) for c in candidates if c.verdict is Verdict.ACCEPTED]
+    pairs = [(by_key[c.a], by_key[c.b]) for c in candidates if c.verdict is Verdict.ACCEPTED]
+    return pairs, group_visits(keyframes, cfg.alpha)
 
 
 class TestRegisterPairs:
-    def test_pool_matches_the_in_process_loop(self, scene01_accepted_pairs, two_cpus):
-        pairs = scene01_accepted_pairs
-        pooled = register_keyframe_pairs(pairs)
+    def test_pool_matches_the_in_process_loop(
+        self, scene01_accepted_pairs, two_cpus, monkeypatch
+    ):
+        pairs, visit = scene01_accepted_pairs
+        pooled = register_keyframe_pairs(pairs, visit)
         assert multiprocessing.active_children() == []
-        expected = [register_keyframe_pair(a, b) for a, b in pairs]
-        assert len(pooled) == len(expected)
-        for got, want in zip(pooled, expected):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        expected = register_keyframe_pairs(pairs, visit)
+        assert len(pooled) == len(expected) == len(pairs)
+        for (got, got_work), (want, want_work) in zip(pooled, expected):
             assert got.transform == want.transform
             assert got.mean_sq_error == want.mean_sq_error
             assert got.iterations == want.iterations
             assert got.converged == want.converged
             assert got.inlier_fraction == want.inlier_fraction
+            assert got_work == want_work
+
+        # Candidate order: the first pair of each visit pair is registered in
+        # full and its siblings warm-started, each at its own index.
+        seen = set()
+        first_pairs = []
+        for index, (a, b) in enumerate(pairs):
+            visit_pair = (visit[a.key], visit[b.key])
+            assert pooled[index][1].warm_starts == (visit_pair in seen)
+            if visit_pair not in seen:
+                seen.add(visit_pair)
+                first_pairs.append(index)
+        assert 1 < len(seen) < len(pairs)
+        for index in first_pairs[:20]:
+            fit = register_keyframe_pair(*pairs[index], RegistrationWork())
+            assert fit == pooled[index][0]
 
     @pytest.mark.parametrize("count, cpus", [(0, 2), (1, 2), (3, 1)])
     def test_no_pool_for_few_pairs_or_one_cpu(self, count, cpus, monkeypatch):
@@ -338,18 +483,20 @@ class TestRegisterPairs:
         monkeypatch.setattr(futures, "ProcessPoolExecutor", no_pool)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         a = make_keyframe("a0", 0, 0.0)
-        b = make_keyframe("a1", 0, 1.0, pose=Pose2(0.1, -0.1, 0.05))
-        out = register_keyframe_pairs([(a, b)] * count)
-        assert out == [register_keyframe_pair(a, b)] * count
+        bs = [make_keyframe("a1", i, 20.0 * i, pose=Pose2(0.1, -0.1, 0.05)) for i in range(count)]
+        out = register_keyframe_pairs([(a, b) for b in bs], one_visit_each(a, *bs))
+        assert [fit for fit, _ in out] == [
+            register_keyframe_pair(a, b, RegistrationWork()) for b in bs
+        ]
 
     def test_a_failing_pair_raises_in_the_caller(self, two_cpus):
         a = make_keyframe("a0", 0, 0.0)
         b = make_keyframe("a1", 0, 1.0)
         sparse = make_keyframe("a2", 0, 2.0, scan_points=np.array([[0.0, 0.0], [1.0, 0.0]]))
         with pytest.raises(ValueError) as direct:
-            register_keyframe_pair(a, sparse)
+            register_keyframe_pair(a, sparse, RegistrationWork())
         with pytest.raises(ValueError) as pooled:
-            register_keyframe_pairs([(a, b), (a, sparse), (a, b)])
+            register_keyframe_pairs([(a, b), (a, sparse), (a, b)], one_visit_each(a, b, sparse))
         assert type(pooled.value) is type(direct.value)
         assert pooled.value.args == direct.value.args
         assert multiprocessing.active_children() == []
@@ -360,17 +507,20 @@ class TestRegisterPairs:
         stage exception into exit code 2, so this surfaces as a failed run."""
         register = pose_graph.register_keyframe_pair
 
-        def die_on_doomed(a, b):
+        def die_on_doomed(a, b, work):
             if b.agent_id == "doomed":
                 os._exit(1)
-            return register(a, b)
+            return register(a, b, work)
 
         monkeypatch.setattr(pose_graph, "register_keyframe_pair", die_on_doomed)
         a = make_keyframe("a0", 0, 0.0)
         b = make_keyframe("a1", 0, 1.0)
+        c = make_keyframe("a2", 0, 1.0)
         doomed = make_keyframe("doomed", 0, 2.0)
         with pytest.raises(BrokenProcessPool):
-            register_keyframe_pairs([(a, b), (a, b), (a, doomed), (a, b)])
+            register_keyframe_pairs(
+                [(a, b), (a, c), (a, doomed), (a, b)], one_visit_each(a, b, c, doomed)
+            )
         assert multiprocessing.active_children() == []
 
 
