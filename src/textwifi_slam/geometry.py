@@ -3,7 +3,8 @@
 Everything downstream (scan registration, pose-graph optimization, the
 simulator) works in SE(2). Poses are (x, y, theta) with theta kept
 normalized in (-pi, pi]; point clouds are read-only (n, 2) float arrays
-that build their nearest-neighbour KD-tree once, on first use.
+that build their nearest-neighbour KD-tree once, on first use (which is
+also when scipy.spatial is first imported).
 """
 
 from __future__ import annotations
@@ -11,9 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.spatial import cKDTree
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 TWO_PI = 2.0 * math.pi
 
@@ -116,6 +120,10 @@ class PointCloud2:
         Safe to cache because the points are frozen; scan registration
         queries one target cloud many times.
         """
+        # Imported here so that commands which never register scans start
+        # without loading scipy.spatial.
+        from scipy.spatial import cKDTree
+
         return cKDTree(self.points)
 
     def __eq__(self, other: object) -> bool:

@@ -27,7 +27,13 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .geometry import Pose2, PointCloud2, compose, relative_pose, transform_points
-from .icp import DEFAULT_CORRESPONDENCE_RADIUS_M, IcpResult, best_result, icp_register
+from .icp import (
+    DEFAULT_CORRESPONDENCE_RADIUS_M,
+    DEFAULT_MAX_ITERATIONS,
+    IcpResult,
+    best_result,
+    icp_register,
+)
 from .place_recognition import Keyframe, MatchCandidate, NodeKey, connected_components
 
 log = logging.getLogger(__name__)
@@ -86,13 +92,16 @@ class RegistrationWork:
     """What registering keyframe pairs cost, in deterministic counts.
 
     icp_calls and icp_iterations cover every icp_register run, losing sweep
-    starts included; sweeps counts heading sweeps run; warm_starts counts
-    pairs started from their visit pair's first fit, and warm_fallbacks
-    those whose warm fit was not solid, so they also ran the full path.
+    starts included, and icp_capped counts the runs that stopped at the
+    iteration cap without converging; sweeps counts heading sweeps run;
+    warm_starts counts pairs started from their visit pair's first fit, and
+    warm_fallbacks those whose warm fit was not solid, so they also ran the
+    full path.
     """
 
     icp_calls: int = 0
     icp_iterations: int = 0
+    icp_capped: int = 0
     sweeps: int = 0
     warm_starts: int = 0
     warm_fallbacks: int = 0
@@ -127,6 +136,11 @@ def _counted_icp(work: RegistrationWork, a: Keyframe, b: Keyframe, initial: Pose
     fit = icp_register(b.scan, a.scan, initial)
     work.icp_calls += 1
     work.icp_iterations += fit.iterations
+    # A run that lost its correspondences, even on its last pass, reports an
+    # infinite error instead.
+    capped = fit.iterations == DEFAULT_MAX_ITERATIONS and not fit.converged
+    if capped and math.isfinite(fit.mean_sq_error):
+        work.icp_capped += 1
     return fit
 
 
@@ -227,7 +241,8 @@ def register_keyframe_pairs(
     worker processes, which is shut down (its workers joined) before this
     returns. Each visit pair is registered the same way wherever it runs,
     so the results do not depend on the worker count. An exception from any
-    pair is raised here.
+    pair is raised here. The pool's workers inherit every target scan's
+    KD-tree, built here before they fork.
     """
     pairs = list(pairs)
     by_visit_pair: dict[tuple[NodeKey, NodeKey], list[int]] = {}
@@ -243,6 +258,10 @@ def register_keyframe_pairs(
         if pool is None:
             done = list(map(register, tasks))
         else:
+            # Built before the fork, each target's KD-tree (and the import
+            # of scipy.spatial) is inherited by every worker, not redone.
+            for a, _ in pairs:
+                a.scan.kdtree
             with pool:
                 done = list(pool.map(register, tasks, chunksize=REGISTRATION_CHUNK_VISIT_PAIRS))
     finally:

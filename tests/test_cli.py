@@ -1,9 +1,13 @@
 """Command-line behavior: exit codes, artifacts, stage composition."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import textwifi_slam
 from textwifi_slam.cli import main
 
 ARTIFACTS = [
@@ -17,6 +21,18 @@ ARTIFACTS = [
     "recording_a2.jsonl",
     "trajectories.json",
 ]
+
+
+def test_importing_the_cli_leaves_scipy_spatial_unloaded():
+    """Only registration builds KD-trees, so only it pays for scipy.spatial."""
+    src = os.path.dirname(os.path.dirname(textwifi_slam.__file__))
+    code = "import sys, textwifi_slam.cli; print('scipy.spatial' in sys.modules)"
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+        check=True,
+    )
+    assert run.stdout.strip() == "False"
 
 
 class TestExitCodes:
@@ -260,9 +276,10 @@ def test_run_all_reports_the_headline_numbers(tmp_path, capsys):
     accepted = sum(1 for c in report["candidates"] if c["verdict"] == "accepted")
     work = trajectory["registration"]
     assert sorted(work) == [
-        "icp_calls", "icp_iterations", "sweeps", "warm_fallbacks", "warm_starts"
+        "icp_calls", "icp_capped", "icp_iterations", "sweeps", "warm_fallbacks", "warm_starts"
     ]
     assert 0 < work["warm_fallbacks"] < work["warm_starts"] < accepted
+    assert 0 < work["icp_capped"] < work["icp_calls"]
     # One call per pair, one more per fallback, four more per sweep.
     assert work["icp_calls"] == accepted + work["warm_fallbacks"] + 4 * work["sweeps"]
     assert work["icp_iterations"] >= work["icp_calls"]

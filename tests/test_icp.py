@@ -50,6 +50,32 @@ def kabsch_svd(source: np.ndarray, target: np.ndarray) -> Pose2:
     return Pose2(float(tx), float(ty), math.atan2(rot[1, 0], rot[0, 0]))
 
 
+def lstsq_anderson_step(images: list[Pose2], residuals: list[np.ndarray]) -> tuple[Pose2, bool]:
+    """Reference mixing step over Pose2 images, with np.linalg.lstsq.
+
+    Returns the proposal and whether it is a mixed one: with one image, or
+    with residual differences that are zero or, for two, within
+    icp.ANDERSON_MIN_SINE_SQ of collinear, it is the plain step images[-1]."""
+    g = images[-1]
+    if len(images) < 2:
+        return g, False
+    d_images = np.array(
+        [[b.x - a.x, b.y - a.y, normalize_angle(b.theta - a.theta)] for a, b in zip(images, images[1:])]
+    ).T
+    d_residuals = np.diff(np.array(residuals), axis=0).T
+    norms = np.linalg.norm(d_residuals, axis=0)
+    if d_residuals.shape[1] == 1:
+        singular = norms[0] == 0.0
+    else:
+        cross = np.linalg.norm(np.cross(*d_residuals.T))
+        singular = cross**2 <= icp.ANDERSON_MIN_SINE_SQ * (norms[0] * norms[1]) ** 2
+    if singular:
+        return g, False
+    gamma = np.linalg.lstsq(d_residuals, residuals[-1], rcond=None)[0]
+    step = d_images @ gamma
+    return Pose2(g.x - step[0], g.y - step[1], g.theta - step[2]), True
+
+
 def reference_icp_register(
     source: PointCloud2,
     target: PointCloud2,
@@ -59,30 +85,47 @@ def reference_icp_register(
     correspondence_radius_m: float = icp.DEFAULT_CORRESPONDENCE_RADIUS_M,
     tolerance: float = icp.DEFAULT_TOLERANCE,
 ) -> IcpResult:
-    """Reference registration: the ICP loop over Pose2 objects and the SVD fit.
+    """Reference registration: the safeguarded Anderson-accelerated ICP loop
+    over Pose2 objects, the SVD fit and lstsq_anderson_step.
 
     Its defaults are icp_register's, the settings the align stage runs with."""
     tree = cKDTree(target.points)
-    pose = initial
+    pose = plain = initial
+    mixed = False
+    accepted_energy = math.inf
+    images: list[Pose2] = []
+    residuals: list[np.ndarray] = []
     converged = False
     for iterations in range(1, max_iterations + 1):
         moved = transform_points(pose, source.points)
         dist, idx = tree.query(moved, distance_upper_bound=correspondence_radius_m)
         mask = np.isfinite(dist)
+        energy = float(np.mean(np.minimum(dist, correspondence_radius_m) ** 2))
+        if mixed and energy > accepted_energy:
+            pose, mixed = plain, False
+            images, residuals = [], []
+            continue
         if int(mask.sum()) < 3:
             return IcpResult(pose, math.inf, iterations, False, float(mask.mean()))
+        accepted_energy = energy
         delta = kabsch_svd(moved[mask], target.points[idx[mask]])
-        pose = compose(delta, pose)
+        plain = compose(delta, pose)
         if math.hypot(delta.x, delta.y) + abs(delta.theta) < tolerance:
             converged = True
             break
-    moved = transform_points(pose, source.points)
+        images.append(plain)
+        residuals.append(
+            np.array([plain.x - pose.x, plain.y - pose.y, normalize_angle(plain.theta - pose.theta)])
+        )
+        images, residuals = images[-icp.ANDERSON_HISTORY :], residuals[-icp.ANDERSON_HISTORY :]
+        pose, mixed = lstsq_anderson_step(images, residuals)
+    moved = transform_points(plain, source.points)
     dist, _ = tree.query(moved, distance_upper_bound=correspondence_radius_m)
     mask = np.isfinite(dist)
     if int(mask.sum()) == 0:
-        return IcpResult(pose, math.inf, iterations, False, 0.0)
+        return IcpResult(plain, math.inf, iterations, False, 0.0)
     mse = float(np.mean(dist[mask] ** 2))
-    return IcpResult(pose, mse, iterations, converged, float(mask.mean()))
+    return IcpResult(plain, mse, iterations, converged, float(mask.mean()))
 
 
 @st.composite
@@ -132,6 +175,49 @@ def test_svd_fit_never_returns_a_reflection():
     target = source * np.array([1.0, -1.0])
     fit = rigid_fit(source, target)
     assert np.linalg.det(fit.rotation_matrix()) == pytest.approx(1.0, abs=1e-12)
+
+
+@st.composite
+def anderson_histories(draw):
+    """One to three plain-step images and residuals, as _anderson_step takes
+    them, and whether their residual differences were made degenerate: a
+    zero column, or for two columns, collinear up to a 1e-7 perturbation."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = draw(st.integers(1, icp.ANDERSON_HISTORY))
+    scale = draw(st.sampled_from([1e-8, 1e-3, 1.0, 10.0]))
+    # Consecutive images a plain step apart, so that their headings need no wrapping.
+    images = np.cumsum(rng.uniform(-1.0, 1.0, (count, 3)), axis=0) + [0.0, 0.0, 3.0]
+    residuals = scale * rng.standard_normal((count, 3))
+    degenerate = count > 1 and draw(st.booleans())
+    if degenerate and count == 2:
+        residuals[1] = residuals[0]
+    elif degenerate:
+        step = residuals[1] - residuals[0]
+        wobble = 1e-7 * np.linalg.norm(step) * rng.standard_normal(3)
+        residuals[2] = residuals[1] + draw(st.sampled_from([-2.0, -0.5, 0.5, 2.0])) * step + wobble
+    images, residuals = ([tuple(row) for row in rows.tolist()] for rows in (images, residuals))
+    return images, residuals, degenerate
+
+
+@given(anderson_histories())
+def test_mixing_step_agrees_with_lstsq(history):
+    images, residuals, degenerate = history
+    got = icp._anderson_step(images, residuals)
+    want, mixed = lstsq_anderson_step(
+        [Pose2(*g) for g in images], [np.array(f) for f in residuals]
+    )
+    if degenerate or len(images) == 1:
+        assert not mixed
+    if not mixed:
+        assert got == images[-1]
+        return
+    # The proposal is images[-1] - ΔG·γ; compare it on the scale of its terms.
+    d_images = np.diff(np.array(images), axis=0)
+    gamma = np.linalg.lstsq(np.diff(np.array(residuals), axis=0).T, residuals[-1], rcond=None)[0]
+    scale = np.abs(images[-1]) + np.abs(gamma) @ np.abs(d_images)
+    error = np.array(got) - [want.x, want.y, want.theta]
+    error[2] = normalize_angle(error[2])
+    assert np.all(np.abs(error) <= 1e-8 * scale)
 
 
 def test_svd_fit_input_validation():

@@ -324,6 +324,24 @@ class TestRegisterPair:
         out = register_keyframe_pair(a, b, RegistrationWork())
         assert out.transform == Pose2(1.0, 0.5, 0.3)
 
+    def test_capped_runs_are_counted_and_lost_ones_are_not(self, monkeypatch):
+        cap = icp.DEFAULT_MAX_ITERATIONS
+        fits = iter(
+            [
+                IcpResult(Pose2(0.1, 0.0, 0.0), 0.04, cap, False, 0.9),  # capped
+                IcpResult(Pose2(0.2, 0.0, 0.0), math.inf, cap, False, 0.0),  # lost on its last pass
+                IcpResult(Pose2(0.3, 0.0, 0.0), math.inf, 3, False, 0.01),  # lost early
+                IcpResult(Pose2(0.4, 0.0, 0.0), 0.04, cap, True, 0.9),  # converged on its last pass
+                IcpResult(Pose2(0.5, 0.0, 0.0), 0.04, 5, True, 0.5),
+            ]
+        )
+        monkeypatch.setattr(pose_graph, "icp_register", lambda *args, **kwargs: next(fits))
+        work = RegistrationWork()
+        register_keyframe_pair(make_keyframe("a0", 0, 0.0), make_keyframe("a1", 0, 1.0), work)
+        assert work == RegistrationWork(
+            icp_calls=5, icp_iterations=3 * cap + 8, icp_capped=1, sweeps=1
+        )
+
     def test_corridor_aliased_odometry_fit_does_not_win(self):
         """A drifted guess in a self-similar corridor settles into a
         converged, high-overlap registration one room pitch off. Its
@@ -488,6 +506,14 @@ class TestRegisterPairs:
         assert [fit for fit, _ in out] == [
             register_keyframe_pair(a, b, RegistrationWork()) for b in bs
         ]
+
+    def test_target_trees_are_built_before_the_workers_fork(self, two_cpus):
+        targets = [make_keyframe("a0", i, 20.0 * i) for i in range(3)]
+        b = make_keyframe("a1", 0, 1.0, pose=Pose2(0.1, -0.1, 0.05))
+        register_keyframe_pairs([(a, b) for a in targets], one_visit_each(b, *targets))
+        # cached_property keeps a built tree in the instance's __dict__; a
+        # tree built only in a worker never reaches this process.
+        assert all("kdtree" in vars(a.scan) for a in targets)
 
     def test_a_failing_pair_raises_in_the_caller(self, two_cpus):
         a = make_keyframe("a0", 0, 0.0)
