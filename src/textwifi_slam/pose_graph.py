@@ -3,15 +3,18 @@ and map merging.
 
 Nodes are keyframes, odometry edges chain consecutive keyframes of one
 agent, and loop edges carry scan-registration results between matched
-keyframes. An agent reads a sign several times as it walks past, so one
-pair of visits gives several matched pairs: register_keyframe_pairs
-registers the first pair of each visit pair in full and starts the others
-from its fit. Visit pairs are independent of each other, so it spreads them
-over one forked worker process per CPU the process may run on, and runs
-them in-process when it cannot. The optimizer is iteratively reweighted
-Gauss-Newton with a Huber kernel and Levenberg-style damping: a step is
-only taken when it lowers the robust objective, so the objective history is
-non-increasing by construction (and asserted).
+keyframes. A pair is registered from the odometry guess and, when that fit
+is not solid, from co-located heading starts, nearest the guess's heading
+first, up to the first solid fit. An agent reads a sign several times as it
+walks past, so one pair of visits gives several matched pairs:
+register_keyframe_pairs registers the first pair of each visit pair in full
+and starts the others from its fit. Visit pairs are independent of each
+other, so it spreads them over one forked worker process per CPU the
+process may run on, and runs them in-process when it cannot. The optimizer
+is iteratively reweighted Gauss-Newton with a Huber kernel and
+Levenberg-style damping: a step is only taken when it lowers the robust
+objective, so the objective history is non-increasing by construction (and
+asserted).
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .geometry import Pose2, PointCloud2, compose, relative_pose, transform_points
+from .geometry import Pose2, PointCloud2, compose, normalize_angle, relative_pose, transform_points
 from .icp import (
     DEFAULT_CORRESPONDENCE_RADIUS_M,
     DEFAULT_MAX_ITERATIONS,
@@ -54,7 +57,8 @@ SOLID_FIT_MSE = (
 )
 
 # The co-located starts of the heading sweep: two agents can face a sign
-# from opposite directions.
+# from opposite directions. The sweep runs them nearest the odometry
+# guess's heading first; this order breaks ties.
 SWEEP_HEADINGS = tuple(
     Pose2(0.0, 0.0, theta) for theta in (0.0, math.pi / 2.0, -math.pi / 2.0, math.pi)
 )
@@ -93,16 +97,18 @@ class RegistrationWork:
 
     icp_calls and icp_iterations cover every icp_register run, losing sweep
     starts included, and icp_capped counts the runs that stopped at the
-    iteration cap without converging; sweeps counts heading sweeps run;
-    warm_starts counts pairs started from their visit pair's first fit, and
-    warm_fallbacks those whose warm fit was not solid, so they also ran the
-    full path.
+    iteration cap without converging; sweeps counts heading sweeps begun,
+    and sweep_starts the heading runs they made, one to four each, since a
+    sweep stops at its first solid fit; warm_starts counts pairs started
+    from their visit pair's first fit, and warm_fallbacks those whose warm
+    fit was not solid, so they also ran the full path.
     """
 
     icp_calls: int = 0
     icp_iterations: int = 0
     icp_capped: int = 0
     sweeps: int = 0
+    sweep_starts: int = 0
     warm_starts: int = 0
     warm_fallbacks: int = 0
 
@@ -149,19 +155,36 @@ def register_keyframe_pair(a: Keyframe, b: Keyframe, work: RegistrationWork) -> 
 
     The first initial guess is the relative pose the odometry already
     implies; if that converges with solid overlap and a tight fit it wins.
-    Otherwise the co-located assumption is tried at four headings, since
-    two agents can face a sign from opposite directions.
+    Otherwise the co-located assumption is tried at the sweep headings,
+    since two agents can face a sign from opposite directions: nearest the
+    odometry guess's heading first (ties in SWEEP_HEADINGS order), and the
+    first solid heading fit wins. Corridors and rooms are symmetric enough
+    that several headings often fit solidly at distinct poses, and the one
+    the odometry points at is more often the true one than the lowest
+    error is. Only when no heading is solid does best_result pick among
+    the odometry fit and every heading fit.
 
     The fit-quality bar is load-bearing: in a self-similar corridor a badly
     drifted odometry guess can settle into a "converged" registration one
     room pitch off, with plenty of overlap but a residual far above what
     the true alignment leaves. Such a fit must not skip the sweep.
     """
-    first = _counted_icp(work, a, b, relative_pose(a.odom_pose, b.odom_pose))
+    guess = relative_pose(a.odom_pose, b.odom_pose)
+    first = _counted_icp(work, a, b, guess)
     if _is_solid(first):
         return first
     work.sweeps += 1
-    return best_result([first, *(_counted_icp(work, a, b, h) for h in SWEEP_HEADINGS)])
+    fits = [first]
+    nearest_first = sorted(
+        SWEEP_HEADINGS, key=lambda h: abs(normalize_angle(h.theta - guess.theta))
+    )
+    for heading in nearest_first:
+        work.sweep_starts += 1
+        fit = _counted_icp(work, a, b, heading)
+        if _is_solid(fit):
+            return fit
+        fits.append(fit)
+    return best_result(fits)
 
 
 def _register_sibling(

@@ -276,10 +276,18 @@ def test_run_all_reports_the_headline_numbers(tmp_path, capsys):
     accepted = sum(1 for c in report["candidates"] if c["verdict"] == "accepted")
     work = trajectory["registration"]
     assert sorted(work) == [
-        "icp_calls", "icp_capped", "icp_iterations", "sweeps", "warm_fallbacks", "warm_starts"
+        "icp_calls",
+        "icp_capped",
+        "icp_iterations",
+        "sweep_starts",
+        "sweeps",
+        "warm_fallbacks",
+        "warm_starts",
     ]
     assert 0 < work["warm_fallbacks"] < work["warm_starts"] < accepted
     assert 0 < work["icp_capped"] < work["icp_calls"]
-    # One call per pair, one more per fallback, four more per sweep.
-    assert work["icp_calls"] == accepted + work["warm_fallbacks"] + 4 * work["sweeps"]
+    # One call per pair, one more per fallback, one per heading a sweep ran:
+    # a sweep runs one to four, stopping at the first solid fit.
+    assert work["icp_calls"] == accepted + work["warm_fallbacks"] + work["sweep_starts"]
+    assert work["sweeps"] <= work["sweep_starts"] <= 4 * work["sweeps"]
     assert work["icp_iterations"] >= work["icp_calls"]

@@ -309,7 +309,8 @@ class TestRegisterPair:
         out = register_keyframe_pair(a, b, work)
         assert out.converged
         assert pose_close(out.transform, true_rel, tol=1e-6)
-        assert (work.icp_calls, work.sweeps, work.warm_starts) == (5, 1, 0)
+        # The guess heading is 0, so the sweep runs 0 and then pi/2, which holds.
+        assert (work.icp_calls, work.sweeps, work.sweep_starts, work.warm_starts) == (3, 1, 2, 0)
         assert work.icp_iterations > out.iterations  # the losing starts count too
 
     def test_odometry_fit_beats_an_equal_sweep_result(self, monkeypatch):
@@ -331,16 +332,78 @@ class TestRegisterPair:
                 IcpResult(Pose2(0.1, 0.0, 0.0), 0.04, cap, False, 0.9),  # capped
                 IcpResult(Pose2(0.2, 0.0, 0.0), math.inf, cap, False, 0.0),  # lost on its last pass
                 IcpResult(Pose2(0.3, 0.0, 0.0), math.inf, 3, False, 0.01),  # lost early
-                IcpResult(Pose2(0.4, 0.0, 0.0), 0.04, cap, True, 0.9),  # converged on its last pass
-                IcpResult(Pose2(0.5, 0.0, 0.0), 0.04, 5, True, 0.5),
+                # converged on its last pass, and solid, so the sweep stops here
+                IcpResult(Pose2(0.4, 0.0, 0.0), 0.04, cap, True, 0.9),
             ]
         )
         monkeypatch.setattr(pose_graph, "icp_register", lambda *args, **kwargs: next(fits))
         work = RegistrationWork()
         register_keyframe_pair(make_keyframe("a0", 0, 0.0), make_keyframe("a1", 0, 1.0), work)
         assert work == RegistrationWork(
-            icp_calls=5, icp_iterations=3 * cap + 8, icp_capped=1, sweeps=1
+            icp_calls=4, icp_iterations=3 * cap + 3, icp_capped=1, sweeps=1, sweep_starts=3
         )
+
+    @pytest.mark.parametrize(
+        "guess_theta, order",
+        [
+            (3.0, [math.pi, math.pi / 2.0, -math.pi / 2.0, 0.0]),
+            (-3.0, [math.pi, -math.pi / 2.0, math.pi / 2.0, 0.0]),
+            # Headings equally far from the guess keep SWEEP_HEADINGS order.
+            (math.pi / 4.0, [0.0, math.pi / 2.0, -math.pi / 2.0, math.pi]),
+        ],
+    )
+    def test_the_sweep_starts_at_the_heading_nearest_the_guess(
+        self, monkeypatch, guess_theta, order
+    ):
+        starts = []
+
+        def never_solid(source, target, initial, **kwargs):
+            starts.append(initial)
+            return IcpResult(initial, 0.04, 5, True, 0.5)
+
+        monkeypatch.setattr(pose_graph, "icp_register", never_solid)
+        guess = Pose2(1.0, 0.5, guess_theta)
+        a, b = make_keyframe("a0", 0, 0.0), make_keyframe("a1", 0, 1.0, pose=guess)
+        register_keyframe_pair(a, b, RegistrationWork())
+        assert starts == [guess, *(Pose2(0.0, 0.0, theta) for theta in order)]
+
+    @pytest.mark.parametrize("solid_at", range(4))
+    def test_the_sweep_stops_at_the_first_solid_heading(self, monkeypatch, solid_at):
+        starts = []
+
+        def solid_only_at(source, target, initial, **kwargs):
+            starts.append(initial)
+            if initial == pose_graph.SWEEP_HEADINGS[solid_at]:
+                return IcpResult(initial, 0.01, 5, True, 0.9)
+            # The odometry fit has the lowest error, but too few inliers.
+            return IcpResult(initial, 0.001 if len(starts) == 1 else 0.04, 5, True, 0.5)
+
+        monkeypatch.setattr(pose_graph, "icp_register", solid_only_at)
+        # The guess heading is 0, so the sweep runs in SWEEP_HEADINGS order.
+        a, b = make_keyframe("a0", 0, 0.0), make_keyframe("a1", 0, 1.0, pose=Pose2(1.0, 0.5, 0.0))
+        work = RegistrationWork()
+        out = register_keyframe_pair(a, b, work)
+        assert out.transform == pose_graph.SWEEP_HEADINGS[solid_at]
+        assert starts[1:] == list(pose_graph.SWEEP_HEADINGS[: solid_at + 1])
+        assert work == RegistrationWork(
+            icp_calls=solid_at + 2,
+            icp_iterations=5 * (solid_at + 2),
+            sweeps=1,
+            sweep_starts=solid_at + 1,
+        )
+
+    def test_with_no_solid_heading_all_four_run_and_the_best_fit_wins(self, monkeypatch):
+        lowest = Pose2(0.0, 0.0, -math.pi / 2.0)
+
+        def never_solid(source, target, initial, **kwargs):
+            return IcpResult(initial, 0.01 if initial == lowest else 0.04, 5, True, 0.5)
+
+        monkeypatch.setattr(pose_graph, "icp_register", never_solid)
+        a, b = make_keyframe("a0", 0, 0.0), make_keyframe("a1", 0, 1.0)
+        work = RegistrationWork()
+        out = register_keyframe_pair(a, b, work)
+        assert out.transform == lowest
+        assert work == RegistrationWork(icp_calls=5, icp_iterations=25, sweeps=1, sweep_starts=4)
 
     def test_corridor_aliased_odometry_fit_does_not_win(self):
         """A drifted guess in a self-similar corridor settles into a
@@ -373,6 +436,26 @@ class TestRegisterPair:
         assert math.hypot(out.transform.x, out.transform.y) < 0.05
         assert abs(abs(out.transform.theta) - math.pi) < 0.01
         assert out.mean_sq_error < 0.01
+
+
+def test_scene01_loop_edges_agree_with_the_truth():
+    """A ratchet on loop-edge quality: on scene01 seed 0 at most 5 of the
+    662 loop edges put b more than 0.5 m from where the simulator's truth
+    does. Lower the bound when registration gets better."""
+    result = pipeline.run_all(config_for_scenario("scene01", seed=0))
+    by_key = result.keyframes_by_key
+
+    def truth(key):
+        kf = by_key[key]
+        return result.recordings[kf.agent_id].truth_at(kf.timestamp)
+
+    edges = result.graph.loop_edges
+    truths = [relative_pose(truth(e.a), truth(e.b)) for e in edges]
+    bad = sum(
+        math.hypot(e.relative.x - t.x, e.relative.y - t.y) > 0.5 for e, t in zip(edges, truths)
+    )
+    assert len(edges) == 662
+    assert bad <= 5
 
 
 def one_visit_each(*keyframes) -> dict:
@@ -435,10 +518,17 @@ class TestVisitPairs:
         (_, first_work), (sibling, work) = register_keyframe_pairs(
             [(a0, b0), (a, b)], group_visits([a0, a, b0, b], alpha=0.8)
         )
-        assert first_work == RegistrationWork(icp_calls=5, icp_iterations=25, sweeps=1)
+        assert first_work == RegistrationWork(
+            icp_calls=5, icp_iterations=25, sweeps=1, sweep_starts=4
+        )
         # The warm fit, then the odometry guess and the four-heading sweep.
         assert work == RegistrationWork(
-            icp_calls=6, icp_iterations=30, sweeps=1, warm_starts=1, warm_fallbacks=1
+            icp_calls=6,
+            icp_iterations=30,
+            sweeps=1,
+            sweep_starts=4,
+            warm_starts=1,
+            warm_fallbacks=1,
         )
         assert sibling.transform == lowest
 
