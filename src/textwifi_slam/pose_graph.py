@@ -12,9 +12,9 @@ and starts the others from its fit. Visit pairs are independent of each
 other, so it spreads them over one forked worker process per CPU the
 process may run on, and runs them in-process when it cannot. The optimizer
 is iteratively reweighted Gauss-Newton with a Huber kernel and
-Levenberg-style damping: a step is only taken when it lowers the robust
-objective, so the objective history is non-increasing by construction (and
-asserted).
+Levenberg-style damping, solved on the sparse normal equations JᵀWJ with a
+sparse LU: a step is only taken when it lowers the robust objective, so the
+objective history is non-increasing by construction (and asserted).
 """
 
 from __future__ import annotations
@@ -62,12 +62,6 @@ SOLID_FIT_MSE = (
 SWEEP_HEADINGS = tuple(
     Pose2(0.0, 0.0, theta) for theta in (0.0, math.pi / 2.0, -math.pi / 2.0, math.pi)
 )
-
-# Visit pairs handed out per worker request. A visit pair holds one to a
-# dozen keyframe pairs, and one whose first pair sweeps costs several times
-# one whose odometry guess holds, so one per request keeps the workers
-# evenly loaded until the last visit pair.
-REGISTRATION_CHUNK_VISIT_PAIRS = 1
 
 
 @dataclass(frozen=True)
@@ -286,7 +280,8 @@ def register_keyframe_pairs(
             for a, _ in pairs:
                 a.scan.kdtree
             with pool:
-                done = list(pool.map(register, tasks, chunksize=REGISTRATION_CHUNK_VISIT_PAIRS))
+                # One visit pair per request keeps the workers evenly loaded.
+                done = list(pool.map(register, tasks))
     finally:
         del _registrations_in_progress[call]
     results: list = [None] * len(pairs)
@@ -345,7 +340,7 @@ def _wrap_angles(values: np.ndarray) -> np.ndarray:
 
 
 class _ComponentProblem:
-    """Dense robust least squares for one connected component."""
+    """Robust least squares for one connected component, as sparse normal equations."""
 
     def __init__(self, keys: list[NodeKey], graph: PoseGraph, kernel_scale: float):
         self.keys = keys
@@ -395,23 +390,27 @@ class _ComponentProblem:
         )
         return float(np.sum(self.w * rho))
 
-    def build_normal_equations(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        n = len(self.keys)
-        H = np.zeros((3 * n, 3 * n))
-        b = np.zeros(3 * n)
-        if self.n_edges == 0:
-            return H, b
+    def build_normal_equations(self, x: np.ndarray):
+        """H = JᵀWJ (sparse, 3n×3n) and b = JᵀWr at x.
+
+        J is the (3m, 3n) Jacobian of the stacked residuals r: edge e's three
+        rows hold its 3×3 blocks A (for node i) and B (for node j). W repeats
+        each edge's Huber-reweighted weight over its three rows.
+        """
+        # Imported here so that commands which never optimize start without it.
+        from scipy.sparse import coo_matrix, diags
+
+        n, m = len(self.keys), self.n_edges
         res = self.residuals(x)
         norms = np.linalg.norm(res, axis=1)
         hub = np.where(norms <= self.kernel, 1.0, self.kernel / np.maximum(norms, 1e-300))
-        omega = self.w * hub
+        omega = np.repeat(self.w * hub, 3)
 
         xi = x[self.ii]
         xj = x[self.jj]
         ci, si = np.cos(xi[:, 2]), np.sin(xi[:, 2])
         cz, sz = np.cos(self.z[:, 2]), np.sin(self.z[:, 2])
         dt = xj[:, :2] - xi[:, :2]
-        m = self.n_edges
 
         # R(theta_z)^T @ R(theta_i)^T = R(theta_i + theta_z)^T, per edge.
         rzt_rit = np.empty((m, 2, 2))
@@ -423,40 +422,23 @@ class _ComponentProblem:
         # d(R_i^T)/d(theta_i) @ dt, then rotated by R_z^T.
         dr_dt_x = -si * dt[:, 0] + ci * dt[:, 1]
         dr_dt_y = -ci * dt[:, 0] - si * dt[:, 1]
-        dtheta_col_x = cz * dr_dt_x + sz * dr_dt_y
-        dtheta_col_y = -sz * dr_dt_x + cz * dr_dt_y
 
-        A = np.zeros((m, 3, 3))
-        A[:, :2, :2] = -rzt_rit
-        A[:, 0, 2] = dtheta_col_x
-        A[:, 1, 2] = dtheta_col_y
-        A[:, 2, 2] = -1.0
-        B = np.zeros((m, 3, 3))
-        B[:, :2, :2] = rzt_rit
-        B[:, 2, 2] = 1.0
-
-        wA = A * omega[:, None, None]
-        wB = B * omega[:, None, None]
-        HAA = np.einsum("mki,mkj->mij", A, wA)
-        HAB = np.einsum("mki,mkj->mij", A, wB)
-        HBB = np.einsum("mki,mkj->mij", B, wB)
-        bA = np.einsum("mki,mk->mi", wA, res)
-        bB = np.einsum("mki,mk->mi", wB, res)
-
-        for block, rows, cols in (
-            (HAA, self.ii, self.ii),
-            (HAB, self.ii, self.jj),
-            (HAB.transpose(0, 2, 1), self.jj, self.ii),
-            (HBB, self.jj, self.jj),
-        ):
-            r = (3 * rows)[:, None, None] + np.arange(3)[None, :, None]
-            c = (3 * cols)[:, None, None] + np.arange(3)[None, None, :]
-            np.add.at(H, (r, c), block)
-        r = (3 * self.ii)[:, None] + np.arange(3)[None, :]
-        np.add.at(b, r, bA)
-        r = (3 * self.jj)[:, None] + np.arange(3)[None, :]
-        np.add.at(b, r, bB)
-        return H, b
+        # Row k of edge e holds [A_k | B_k] in node i's and node j's columns.
+        blocks = np.zeros((m, 3, 6))
+        blocks[:, :2, :2] = -rzt_rit
+        blocks[:, 0, 2] = cz * dr_dt_x + sz * dr_dt_y
+        blocks[:, 1, 2] = -sz * dr_dt_x + cz * dr_dt_y
+        blocks[:, 2, 2] = -1.0
+        blocks[:, :2, 3:5] = rzt_rit
+        blocks[:, 2, 5] = 1.0
+        rows = 3 * np.arange(m)[:, None, None] + np.arange(3)[None, :, None]
+        cols = np.concatenate(
+            (3 * self.ii[:, None] + np.arange(3), 3 * self.jj[:, None] + np.arange(3)), axis=1
+        )[:, None, :]
+        rows, cols = np.broadcast_arrays(rows, cols)
+        J = coo_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())), shape=(3 * m, 3 * n))
+        WJ = diags(omega) @ J.tocsr()
+        return J.T @ WJ, WJ.T @ res.ravel()
 
 
 def _optimize_component(
@@ -469,33 +451,29 @@ def _optimize_component(
         return x, history
 
     # Imported here so that commands which never optimize start without it.
-    from scipy.sparse import csc_matrix
+    from scipy.sparse import diags
     from scipy.sparse.linalg import splu
 
-    n = len(problem.keys)
-    free = np.ones(3 * n, dtype=bool)
-    free[0:3] = False  # the first node is the gauge and stays put
     lam = 1e-6
     for _ in range(max_outer_iterations):
         H, b = problem.build_normal_equations(x)
-        H_red = H[np.ix_(free, free)]
-        b_red = b[free]
+        # The first node is the gauge and stays put.
+        H_red, b_red = H[3:, 3:], b[3:]
         if float(np.max(np.abs(b_red), initial=0.0)) < 1e-14:
             break
         accepted = False
         for _attempt in range(10):
-            damped = H_red + lam * np.diag(np.maximum(np.diagonal(H_red), 1e-12))
+            damped = H_red + lam * diags(np.maximum(H_red.diagonal(), 1e-12))
             # A sparse LU, not LAPACK's dense solve: that one rounds
             # differently with the number of BLAS threads, which follows the
             # CPUs the process may use, and the poses must not.
             try:
-                delta_red = splu(csc_matrix(damped)).solve(-b_red)
+                delta_red = splu(damped.tocsc()).solve(-b_red)
             except RuntimeError:  # exactly singular
                 lam *= 10.0
                 continue
             candidate = x.copy()
-            flat = candidate.reshape(-1)
-            flat[free] += delta_red
+            candidate.reshape(-1)[3:] += delta_red
             candidate[:, 2] = _wrap_angles(candidate[:, 2])
             obj = problem.objective(candidate)
             if obj <= history[-1]:
@@ -532,8 +510,8 @@ def optimize_pose_graph(
     for edge in graph.edges:
         if edge.a not in graph.nodes or edge.b not in graph.nodes:
             raise ValueError(f"edge {edge.a}-{edge.b} references a missing node")
-        if edge.weight <= 0.0:
-            raise ValueError("edge weights must be positive")
+        if not 0.0 < edge.weight < math.inf:
+            raise ValueError("edge weights must be positive and finite")
 
     components = connected_components(graph.nodes, ((e.a, e.b) for e in graph.edges))
     if len(components) > 1:

@@ -132,14 +132,16 @@ class TestOptimize:
         with pytest.raises(ValueError):
             optimize_pose_graph(dangling)
 
-        bad_weight = triangle_graph(perturbed_initial())
-        bad_weight.loop_edges[0] = PoseGraphEdge(K0, K2, Pose2.identity(), 0.0, "loop")
-        with pytest.raises(ValueError):
-            optimize_pose_graph(bad_weight)
+        for weight in (0.0, math.nan, math.inf):
+            bad_weight = triangle_graph(perturbed_initial())
+            bad_weight.loop_edges[0] = PoseGraphEdge(K0, K2, Pose2.identity(), weight, "loop")
+            with pytest.raises(ValueError):
+                optimize_pose_graph(bad_weight)
 
 
-# A 150-node chain with 300 noisy loops: big enough that LAPACK's dense
-# solve splits its work over BLAS threads.
+# A 150-node chain with 300 noisy loops: big enough that a dense LAPACK
+# solve would split its work over BLAS threads. The solve must stay
+# independent of the BLAS thread count.
 _BIG_GRAPH_SOLUTION = """
 import random
 from textwifi_slam.geometry import Pose2, compose, relative_pose
@@ -213,9 +215,28 @@ class TestNormalEquations:
             fd[i] = (hi - lo) / (2.0 * h)
         assert np.allclose(b, fd, rtol=1e-5, atol=1e-8)
 
+    def test_normal_matrix_is_the_weighted_gram_of_the_residual_jacobian(self):
+        # kernel 1e6 keeps every edge quadratic, so H = Jᵀ·diag(w)·J exactly.
+        problem = self.problem(1e6)
+        x = problem.x
+        H, _ = problem.build_normal_equations(x)
+
+        h = 1e-6
+        flat = x.reshape(-1)
+        J = np.empty((3 * problem.n_edges, flat.size))
+        for i in range(flat.size):
+            bump = np.zeros_like(flat)
+            bump[i] = h
+            hi = problem.residuals((flat + bump).reshape(-1, 3)).reshape(-1)
+            lo = problem.residuals((flat - bump).reshape(-1, 3)).reshape(-1)
+            J[:, i] = (hi - lo) / (2.0 * h)
+        expected = J.T @ np.diag(np.repeat(problem.w, 3)) @ J
+        assert np.allclose(H.toarray(), expected, rtol=1e-6, atol=1e-8)
+
     def test_normal_matrix_symmetric_positive_semidefinite(self):
         problem = self.problem(1.0)
         H, _ = problem.build_normal_equations(problem.x)
+        H = H.toarray()
         assert np.allclose(H, H.T, atol=1e-12)
         eigs = np.linalg.eigvalsh(H)
         assert eigs.min() > -1e-10 * max(1.0, eigs.max())
