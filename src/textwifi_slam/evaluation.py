@@ -143,24 +143,32 @@ def _parse_anchor(label: str) -> tuple[str, str]:
     return agent, tag
 
 
+def _truth_poses(
+    keyframes: Sequence[Keyframe], recordings: Mapping[str, Recording]
+) -> list[Pose2]:
+    """Each keyframe's true pose, in order, with one truths_at per agent."""
+    agents = dict.fromkeys(kf.agent_id for kf in keyframes)
+    times = {agent: [kf.timestamp for kf in keyframes if kf.agent_id == agent] for agent in agents}
+    poses = {agent: iter(recordings[agent].truths_at(times[agent])) for agent in agents}
+    return [next(poses[kf.agent_id]) for kf in keyframes]
+
+
 def _nearest_keyframe(
     anchor_xy: tuple[float, float],
     agent_id: str,
     keyframes: Sequence[Keyframe],
     recordings: Mapping[str, Recording],
-) -> Keyframe:
-    recording = recordings.get(agent_id)
-    if recording is None:
+) -> tuple[Keyframe, Pose2]:
+    """The agent's keyframe nearest the anchor in ground truth, and its true pose."""
+    if agent_id not in recordings:
         raise ValueError(f"no recording for agent {agent_id!r}")
-    best: Optional[Keyframe] = None
+    own = [kf for kf in keyframes if kf.agent_id == agent_id]
+    best: Optional[tuple[Keyframe, Pose2]] = None
     best_d = math.inf
-    for kf in keyframes:
-        if kf.agent_id != agent_id:
-            continue
-        truth = recording.truth_at(kf.timestamp)
+    for kf, truth in zip(own, _truth_poses(own, recordings)):
         d = math.hypot(truth.x - anchor_xy[0], truth.y - anchor_xy[1])
         if d < best_d:
-            best, best_d = kf, d
+            best, best_d = (kf, truth), d
     if best is None or best_d > MAX_ANCHOR_DISTANCE_M:
         raise ValueError(
             f"agent {agent_id!r} has no keyframe within {MAX_ANCHOR_DISTANCE_M} m "
@@ -189,10 +197,8 @@ def end_point_error(
         raise ValueError("anchor labels must both be present in the map's anchor table")
     agent_s, _ = _parse_anchor(start_label)
     agent_e, _ = _parse_anchor(end_label)
-    kf_s = _nearest_keyframe(anchors[start_label], agent_s, keyframes, recordings)
-    kf_e = _nearest_keyframe(anchors[end_label], agent_e, keyframes, recordings)
-    truth_s = recordings[agent_s].truth_at(kf_s.timestamp)
-    truth_e = recordings[agent_e].truth_at(kf_e.timestamp)
+    kf_s, truth_s = _nearest_keyframe(anchors[start_label], agent_s, keyframes, recordings)
+    kf_e, truth_e = _nearest_keyframe(anchors[end_label], agent_e, keyframes, recordings)
     truth_sep = math.hypot(truth_e.x - truth_s.x, truth_e.y - truth_s.y)
     if kf_s.key not in estimated or kf_e.key not in estimated:
         raise ValueError("estimated poses are missing an anchor keyframe")
@@ -225,12 +231,7 @@ def absolute_trajectory_error(
     if len(scored) < 2:
         raise ValueError("absolute trajectory error needs at least two estimated keyframes")
     est = np.array([[estimated[kf.key].x, estimated[kf.key].y] for kf in scored])
-    truth = np.array(
-        [
-            [pose.x, pose.y]
-            for pose in (recordings[kf.agent_id].truth_at(kf.timestamp) for kf in scored)
-        ]
-    )
+    truth = np.array([[pose.x, pose.y] for pose in _truth_poses(scored, recordings)])
     theta, _, _, tx, ty = _rigid_fit(est, truth)
     aligned = transform_points(Pose2(tx, ty, theta), est)
     return float(np.sqrt(np.mean(np.sum((aligned - truth) ** 2, axis=1))))

@@ -4,10 +4,15 @@ A keyframe is emitted whenever an agent reads a sign; it carries the scan
 nearest in time and a WiFi fingerprint built from the scans in a window
 around it. Candidate keyframe pairs pass through two gates in order: text
 similarity (cheap, permissive) and then the WiFi fingerprint check, which is
-what tells two identical signs in different places apart. A few sign texts
-recur across many keyframes, so matching scores each distinct text pair once.
-An agent's consecutive reads of one sign form a visit (group_visits); the
-align stage registers the matches of one pair of visits together.
+what tells two identical signs in different places apart. match_all scores
+all candidate pairs as one batch: the WiFi scores come from one keyframe ×
+MAC matrix (wifi.wifi_scores), and the edit-distance DP runs once per
+distinct text pair (text_matching.text_similarities), so a few sign texts
+recurring across many keyframes cost little. The batch equals the per-pair
+rule (text_similarity, is_wifi_match, wifi_verdict) to the last bit, and
+decide_match is a batch of one. An agent's consecutive reads of one sign
+form a visit (group_visits); the align stage registers the matches of one
+pair of visits together.
 """
 
 from __future__ import annotations
@@ -18,10 +23,12 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .geometry import Pose2, PointCloud2
 from .simulate import Recording, integrate_odometry, nearest_index
-from .text_matching import TextObservation, text_similarity
-from .wifi import WifiFingerprint, WifiMatchScore, build_fingerprint, is_wifi_match
+from .text_matching import TextObservation, text_similarities, text_similarity
+from .wifi import WifiFingerprint, WifiMatchScore, build_fingerprint, wifi_scores
 
 NodeKey = tuple[str, int]  # (agent_id, keyframe_id)
 
@@ -173,65 +180,71 @@ def extract_keyframes(recording: Recording) -> list[Keyframe]:
     return keyframes
 
 
+def _candidate_indices(ordered: Sequence[Keyframe]) -> tuple[list[int], list[int]]:
+    """The candidate pairs of key-sorted keyframes, as two index lists in
+    row-major (i, j > i) order; see generate_candidates."""
+    first, second = np.triu_indices(len(ordered), k=1)
+    agent_ids: dict[str, int] = {}
+    agents = np.array([agent_ids.setdefault(kf.agent_id, len(agent_ids)) for kf in ordered])
+    times = np.array([kf.timestamp for kf in ordered], dtype=float)
+    keep = (agents[first] != agents[second]) | (
+        np.abs(times[first] - times[second]) >= MIN_LOOP_SEPARATION_S
+    )
+    return first[keep].tolist(), second[keep].tolist()
+
+
 def generate_candidates(keyframes: Sequence[Keyframe]) -> list[tuple[Keyframe, Keyframe]]:
     """Unordered candidate pairs worth scoring.
 
     Every cross-agent pair of keyframes is a candidate; pairs from one agent
     only qualify as revisits once they are at least MIN_LOOP_SEPARATION_S
-    apart. Order is deterministic.
+    apart. Pairs come in key order: (a, b) with a before b, sorted by a
+    and then by b.
     """
     ordered = sorted(keyframes, key=lambda kf: kf.key)
-    pairs: list[tuple[Keyframe, Keyframe]] = []
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1:]:
-            if a.agent_id == b.agent_id:
-                if abs(a.timestamp - b.timestamp) >= MIN_LOOP_SEPARATION_S:
-                    pairs.append((a, b))
-            else:
-                pairs.append((a, b))
-    return pairs
+    first, second = _candidate_indices(ordered)
+    return [(ordered[i], ordered[j]) for i, j in zip(first, second)]
 
 
-def _scored_candidate(
-    a: Keyframe,
-    b: Keyframe,
-    text_score: float,
+def _scored_candidates(
+    keyframes: Sequence[Keyframe],
+    first: Sequence[int],
+    second: Sequence[int],
     thresholds: Thresholds,
-) -> MatchCandidate:
-    """The candidate for a pair whose text score is known: WiFi scores and verdict."""
-    text_ok = text_score >= thresholds.alpha
-    _, wifi_score = is_wifi_match(a.fingerprint, b.fingerprint, thresholds.beta, thresholds.gamma)
-    verdict = wifi_verdict(wifi_score, thresholds) if text_ok else Verdict.REJECTED_TEXT
-    return MatchCandidate(a.key, b.key, text_score, wifi_score, verdict)
-
-
-def decide_match(a: Keyframe, b: Keyframe, thresholds: Thresholds) -> MatchCandidate:
-    """Run the gate cascade on one candidate pair.
+) -> list[MatchCandidate]:
+    """The candidates of the pairs (keyframes[first[k]], keyframes[second[k]]).
 
     Every gate is scored, also on pairs the text gate rejects, so the
     evaluation stage can re-threshold any candidate. The first failing gate
-    names the rejection.
+    names the rejection: text, then wifi_verdict.
     """
-    text_score = text_similarity(a.text_obs.text, b.text_obs.text)
-    return _scored_candidate(a, b, text_score, thresholds)
+    texts = [kf.text_obs.text for kf in keyframes]
+    text_scores = text_similarities([(texts[i], texts[j]) for i, j in zip(first, second)])
+    wifi = wifi_scores([kf.fingerprint for kf in keyframes], first, second)
+    keys = [kf.key for kf in keyframes]
+    alpha = thresholds.alpha
+    return [
+        MatchCandidate(
+            keys[i],
+            keys[j],
+            text_score,
+            wifi_score,
+            wifi_verdict(wifi_score, thresholds) if text_score >= alpha else Verdict.REJECTED_TEXT,
+        )
+        for i, j, text_score, wifi_score in zip(first, second, text_scores, wifi)
+    ]
+
+
+def decide_match(a: Keyframe, b: Keyframe, thresholds: Thresholds) -> MatchCandidate:
+    """Run the gate cascade on one candidate pair: match_all's batch of one."""
+    return _scored_candidates([a, b], [0], [1], thresholds)[0]
 
 
 def match_all(keyframes: Sequence[Keyframe], thresholds: Thresholds) -> list[MatchCandidate]:
-    """Score every candidate pair, in deterministic order.
-
-    Each candidate equals decide_match on its pair. Keyframes repeat a few
-    sign texts many times over, so each distinct text pair is scored once
-    per call and its score reused.
-    """
-    text_scores: dict[tuple[str, str], float] = {}
-    candidates: list[MatchCandidate] = []
-    for a, b in generate_candidates(keyframes):
-        texts = (a.text_obs.text, b.text_obs.text)
-        text_score = text_scores.get(texts)
-        if text_score is None:
-            text_score = text_scores[texts] = text_similarity(*texts)
-        candidates.append(_scored_candidate(a, b, text_score, thresholds))
-    return candidates
+    """Score every candidate pair (generate_candidates), in its order, as one
+    batch; each candidate equals decide_match on its pair."""
+    ordered = sorted(keyframes, key=lambda kf: kf.key)
+    return _scored_candidates(ordered, *_candidate_indices(ordered), thresholds)
 
 
 def group_visits(keyframes: Sequence[Keyframe], alpha: float) -> dict[NodeKey, NodeKey]:

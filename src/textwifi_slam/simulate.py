@@ -18,7 +18,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -173,9 +173,14 @@ class Recording:
 
     def truth_at(self, timestamp: float) -> Pose2:
         """Ground-truth pose at the truth sample nearest to timestamp."""
+        return self.truths_at([timestamp])[0]
+
+    def truths_at(self, timestamps: Iterable[float]) -> list[Pose2]:
+        """truth_at of every timestamp, listing the truth sample times once."""
         if not self.truth:
             raise ValueError("recording has no truth samples")
-        return self.truth[nearest_index([s.timestamp for s in self.truth], timestamp)].pose
+        times = [s.timestamp for s in self.truth]
+        return [self.truth[nearest_index(times, t)].pose for t in timestamps]
 
     def travel_distance_m(self) -> float:
         total = 0.0

@@ -4,9 +4,9 @@ comparison of two locations.
 A fingerprint is a map from access-point MAC to the mean RSS of the scans
 around a keyframe. Two fingerprints match when their MAC sets
 overlap enough (threshold beta) and the signal strengths on the shared MACs
-agree (threshold gamma on a normalized similarity). A fingerprint builds its
-MAC set once and keeps it, and each compared pair intersects the two sets
-once for both gates.
+agree (threshold gamma on a normalized similarity). is_wifi_match scores one
+pair from the two MAC sets; wifi_scores scores many pairs at once from one
+fingerprint × MAC matrix, with the same result to the last bit.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
+
+import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -155,7 +157,12 @@ def _mac_overlap(a: WifiFingerprint, b: WifiFingerprint, n_common: int) -> float
 
 
 def _rss_distance_on(a: WifiFingerprint, b: WifiFingerprint, common: frozenset[str]) -> float:
-    return math.sqrt(sum((a.entries[mac] - b.entries[mac]) ** 2 for mac in sorted(common)))
+    # A plain running sum in sorted MAC order, which wifi_scores repeats
+    # column by column; the builtin sum() compensates from Python 3.12 on.
+    total = 0.0
+    for mac in sorted(common):
+        total += (a.entries[mac] - b.entries[mac]) ** 2
+    return math.sqrt(total)
 
 
 def mac_similarity(a: WifiFingerprint, b: WifiFingerprint) -> float:
@@ -207,3 +214,47 @@ def is_wifi_match(
     d = _rss_distance_on(a, b, common)
     sim = rss_similarity(d, len(common))
     return ms >= beta and sim >= gamma, WifiMatchScore(ms, d, sim)
+
+
+def wifi_scores(
+    fingerprints: Sequence[WifiFingerprint],
+    first: Sequence[int],
+    second: Sequence[int],
+) -> list[WifiMatchScore]:
+    """is_wifi_match's scores of every pair (fingerprints[first[k]],
+    fingerprints[second[k]]), equal to them to the last bit.
+
+    The fingerprints become one matrix of RSS entries over the sorted union
+    of their MACs, with a mask of which entries exist. The squared RSS
+    differences are summed one MAC column at a time, in sorted MAC order,
+    adding 0.0 where the pair does not share the MAC, so each pair's sum
+    runs in the order of the per-pair one. The squares use np.float_power,
+    which rounds as Python's ** does (np.power and d * d do not always),
+    and the similarity keeps math.exp, which np.exp does not always equal.
+    """
+    macs = sorted(set().union(*(fp.macs for fp in fingerprints)))
+    column = {mac: k for k, mac in enumerate(macs)}
+    rss = np.zeros((len(macs), len(fingerprints)))
+    heard = np.zeros((len(macs), len(fingerprints)), dtype=bool)
+    for row, fp in enumerate(fingerprints):
+        for mac, value in fp.entries.items():
+            rss[column[mac], row] = value
+            heard[column[mac], row] = True
+    first, second = np.asarray(first, dtype=np.intp), np.asarray(second, dtype=np.intp)
+    n_common = np.zeros(len(first), dtype=np.int64)
+    total = np.zeros(len(first))
+    for values, present in zip(rss, heard):
+        shared = present[first] & present[second]
+        n_common += shared
+        total += np.where(shared, np.float_power(values[first] - values[second], 2.0), 0.0)
+    n_heard = heard.sum(axis=0)
+    larger = np.maximum(n_heard[first], n_heard[second])
+    overlap = np.divide(n_common, larger, out=np.zeros(len(first)), where=larger > 0)
+    distance = np.sqrt(total)
+    exponent = -distance / (SIGMA_SCALE_DB * np.sqrt(np.maximum(n_common, 1)))
+    return [
+        WifiMatchScore(ms, d, math.exp(x)) if n else WifiMatchScore(ms, math.inf, 0.0)
+        for ms, n, d, x in zip(
+            overlap.tolist(), n_common.tolist(), distance.tolist(), exponent.tolist()
+        )
+    ]

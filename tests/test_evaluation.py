@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from textwifi_slam.config import RunConfig
@@ -13,7 +14,9 @@ from textwifi_slam.evaluation import (
     threshold_sweep,
     travel_distance_m,
 )
-from textwifi_slam.geometry import Pose2, compose
+from textwifi_slam.geometry import Pose2, compose, transform_points
+from textwifi_slam.icp import _rigid_fit
+from textwifi_slam.pipeline import extract_all_keyframes, stage_generate, stage_simulate
 from textwifi_slam.place_recognition import MatchCandidate, Thresholds, Verdict, decide_match
 from textwifi_slam.simulate import Recording, TruthSample
 from textwifi_slam.wifi import WifiMatchScore
@@ -231,6 +234,45 @@ class TestAbsoluteTrajectoryError:
         assert self.ate(estimated) == pytest.approx(0.0, abs=1e-12)
         with pytest.raises(ValueError, match="two"):
             self.ate({("a0", 0): Pose2(0.0, 0.0, 0.0)})
+
+
+def test_ate_and_epe_equal_their_per_keyframe_truth_lookups():
+    # Truth poses are looked up with one truths_at per agent; the metrics
+    # must equal the same formulas fed one truth_at call per keyframe.
+    plan, scripts = stage_generate(RunConfig(scenario="scene01"))
+    recordings = stage_simulate(plan, scripts)
+    keyframes = extract_all_keyframes(recordings)
+    truth = {kf.key: recordings[kf.agent_id].truth_at(kf.timestamp) for kf in keyframes}
+    estimated = {
+        kf.key: Pose2(truth[kf.key].x + 0.01 * i, truth[kf.key].y - 0.02 * (i % 7), 0.0)
+        for i, kf in enumerate(keyframes)
+    }
+
+    est = np.array([[estimated[kf.key].x, estimated[kf.key].y] for kf in keyframes])
+    true_xy = np.array([[truth[kf.key].x, truth[kf.key].y] for kf in keyframes])
+    theta, _, _, tx, ty = _rigid_fit(est, true_xy)
+    aligned = transform_points(Pose2(tx, ty, theta), est)
+    expected_ate = float(np.sqrt(np.mean(np.sum((aligned - true_xy) ** 2, axis=1))))
+    assert absolute_trajectory_error(keyframes, recordings, estimated) == expected_ate
+
+    def nearest(label):
+        (x, y), agent = dict(plan.named_anchors)[label], label.partition("/")[0]
+        own = [kf for kf in keyframes if kf.agent_id == agent]
+        distance = [math.hypot(truth[kf.key].x - x, truth[kf.key].y - y) for kf in own]
+        return own[distance.index(min(distance))].key
+
+    start, end = (label for label, _ in plan.named_anchors)
+    report = end_point_error(
+        dict(plan.named_anchors), start, end, keyframes, recordings, estimated
+    )
+    s, e = nearest(start), nearest(end)
+    assert (report.node_start, report.node_end) == (s, e)
+    assert report.truth_separation_m == math.hypot(
+        truth[e].x - truth[s].x, truth[e].y - truth[s].y
+    )
+    assert report.estimated_separation_m == math.hypot(
+        estimated[e].x - estimated[s].x, estimated[e].y - estimated[s].y
+    )
 
 
 def test_travel_distance_sums_all_agents():

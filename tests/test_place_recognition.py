@@ -2,13 +2,16 @@
 
 import dataclasses
 import math
-from collections import Counter
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from textwifi_slam import place_recognition
-from textwifi_slam.config import RunConfig
+from textwifi_slam import place_recognition, text_matching
+from textwifi_slam.config import RunConfig, config_for_scenario
+from textwifi_slam.pipeline import extract_all_keyframes, stage_generate, stage_simulate
 from textwifi_slam.place_recognition import (
+    MatchCandidate,
     Thresholds,
     Verdict,
     decide_match,
@@ -20,8 +23,8 @@ from textwifi_slam.place_recognition import (
     wifi_verdict,
 )
 from textwifi_slam.simulate import AgentScript, simulate_recording
-from textwifi_slam.text_matching import text_similarity
-from textwifi_slam.wifi import WifiMatchScore, build_fingerprint
+from textwifi_slam.text_matching import edit_distances, text_similarity
+from textwifi_slam.wifi import WifiMatchScore, build_fingerprint, is_wifi_match
 from textwifi_slam.world import generate_floorplan
 
 from conftest import make_keyframe
@@ -163,12 +166,64 @@ def test_match_all_is_deterministic():
     assert [c.a for c in first] == sorted(c.a for c in first)
 
 
+def scene_keyframes(scene: str, seed: int):
+    cfg = config_for_scenario(scene, seed=seed)
+    return extract_all_keyframes(stage_simulate(*stage_generate(cfg))), cfg.thresholds()
+
+
 @pytest.fixture(scope="module")
 def scene02_keyframes():
-    from textwifi_slam.config import config_for_scenario
-    from textwifi_slam.pipeline import extract_all_keyframes, stage_generate, stage_simulate
+    return scene_keyframes("scene02", 0)[0]
 
-    return extract_all_keyframes(stage_simulate(*stage_generate(config_for_scenario("scene02"))))
+
+def per_pair_candidate(a, b, th: Thresholds) -> MatchCandidate:
+    """The gate cascade one pair at a time, one call per gate: the rule
+    the batch scorer must reproduce to the last bit."""
+    text_score = text_similarity(a.text_obs.text, b.text_obs.text)
+    _, wifi_score = is_wifi_match(a.fingerprint, b.fingerprint, th.beta, th.gamma)
+    verdict = wifi_verdict(wifi_score, th) if text_score >= th.alpha else Verdict.REJECTED_TEXT
+    return MatchCandidate(a.key, b.key, text_score, wifi_score, verdict)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("scene", ["scene01", "scene02"])
+def test_match_all_equals_the_per_pair_rule(scene, seed):
+    keyframes, th = scene_keyframes(scene, seed)
+    expected = [per_pair_candidate(a, b, th) for a, b in generate_candidates(keyframes)]
+    # repr tells apart floats that == does not (0.0 and -0.0).
+    assert [repr(c) for c in match_all(keyframes, th)] == [repr(c) for c in expected]
+
+
+random_keyframe = st.tuples(
+    st.sampled_from(["a0", "a1"]),
+    st.floats(0.0, 100.0),
+    st.text(alphabet="abAB -ß", min_size=1, max_size=6),
+    st.dictionaries(st.sampled_from(["m0", "m1", "m2", "m3"]), st.floats(-120.0, 0.0)),
+)
+
+
+@given(
+    st.lists(random_keyframe, max_size=8),
+    st.tuples(*[st.floats(0.0, 1.0)] * 3).map(lambda t: Thresholds(*t)),
+)
+@example([("a0", 0.0, "Exit", {}), ("a1", 1.0, "EXIT", {})], Thresholds(0.5, 0.0, 0.0))
+@example(
+    [("a0", 0.0, "ROOM", {"m1": -50.0}), ("a0", 90.0, "room", {"m1": -51.0, "m2": -60.0})],
+    Thresholds(1.0, 0.5, 0.9),
+)
+def test_match_all_equals_the_per_pair_rule_on_random_keyframes(specs, th):
+    keyframes = [
+        make_keyframe(agent, k, t, text=text, rss=rss)
+        for k, (agent, t, text, rss) in enumerate(specs)
+    ]
+    expected = [per_pair_candidate(a, b, th) for a, b in generate_candidates(keyframes)]
+    assert [repr(c) for c in match_all(keyframes, th)] == [repr(c) for c in expected]
+
+
+def test_decide_match_raises_on_two_empty_texts():
+    a, b = make_keyframe("a0", 0, 0.0, text=""), make_keyframe("a1", 0, 0.0, text="")
+    with pytest.raises(ValueError, match="two empty strings"):
+        decide_match(a, b, RunConfig().thresholds())
 
 
 def test_match_all_equals_decide_match_on_every_candidate(scene02_keyframes):
@@ -178,19 +233,22 @@ def test_match_all_equals_decide_match_on_every_candidate(scene02_keyframes):
 
 
 def test_match_all_scores_each_text_pair_once(scene02_keyframes, monkeypatch):
-    calls = Counter()
+    # The edit-distance DP runs once per call, and in it each distinct
+    # text pair, upper-cased and unordered, comes up exactly once.
+    batches = []
 
-    def counting(a, b):
-        calls[(a, b)] += 1
-        return text_similarity(a, b)
+    def recording(pairs):
+        batches.append(list(pairs))
+        return edit_distances(pairs)
 
-    monkeypatch.setattr(place_recognition, "text_similarity", counting)
-    th = RunConfig().thresholds()
-    candidates = match_all(scene02_keyframes, th)
-    texts = {kf.key: kf.text_obs.text for kf in scene02_keyframes}
-    assert set(calls) == {(texts[c.a], texts[c.b]) for c in candidates}
-    assert max(calls.values()) == 1
-    assert len(calls) < len(candidates)
+    monkeypatch.setattr(text_matching, "edit_distances", recording)
+    candidates = match_all(scene02_keyframes, RunConfig().thresholds())
+    texts = {kf.key: kf.text_obs.text.upper() for kf in scene02_keyframes}
+    (dp_pairs,) = batches
+    unordered = [tuple(sorted(pair)) for pair in dp_pairs]
+    assert len(set(unordered)) == len(dp_pairs)
+    assert set(unordered) == {tuple(sorted((texts[c.a], texts[c.b]))) for c in candidates}
+    assert len(dp_pairs) < len(candidates)
 
 
 def test_extract_rejects_out_of_order_wifi(recording):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from textwifi_slam.config import RunConfig
@@ -11,6 +11,8 @@ from textwifi_slam.text_matching import (
     CORRUPTION_ALPHABET,
     corrupt_text,
     edit_distance,
+    edit_distances,
+    text_similarities,
     text_similarity,
 )
 
@@ -71,6 +73,31 @@ def test_edit_distance_symmetry_and_bounds(a, b):
 @given(short_text, short_text, short_text)
 def test_edit_distance_triangle_inequality(a, b, c):
     assert edit_distance(a, c) <= edit_distance(a, b) + edit_distance(b, c)
+
+
+@given(st.lists(st.tuples(short_text, short_text), max_size=12))
+@example([])
+@example([("", ""), ("", "abc"), ("abc", ""), ("kitten", "sitting")])
+def test_edit_distances_equal_edit_distance(pairs):
+    assert edit_distances(pairs).tolist() == [edit_distance(a, b) for a, b in pairs]
+
+
+# Mixed case, and characters whose upper case is longer ("ß" -> "SS").
+mixed_text = st.text(alphabet="abcABN0- ßé", max_size=8)
+
+
+@given(st.lists(st.tuples(mixed_text, mixed_text).filter(any), max_size=12))
+@example([("", "ROOM"), ("room", ""), ("Exit", "EXIT"), ("EXIT", "exit"), ("straße", "STRASSE")])
+def test_text_similarities_equal_text_similarity(pairs):
+    batch = text_similarities(pairs)
+    assert [repr(score) for score in batch] == [repr(text_similarity(a, b)) for a, b in pairs]
+
+
+def test_text_similarities_raise_on_two_empty_strings():
+    with pytest.raises(ValueError, match="two empty strings"):
+        text_similarity("", "")
+    with pytest.raises(ValueError, match="two empty strings"):
+        text_similarities([("ROOM", "room"), ("", "")])
 
 
 def test_similarity_fixtures():

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from textwifi_slam.wifi import (
@@ -19,6 +19,7 @@ from textwifi_slam.wifi import (
     predicted_rss,
     rss_distance,
     rss_similarity,
+    wifi_scores,
 )
 
 rss_values = st.lists(st.floats(-120.0, 0.0), min_size=1, max_size=12)
@@ -184,6 +185,39 @@ def test_wifi_match_rejects_bad_thresholds():
         is_wifi_match(a, a, beta=1.5, gamma=0.5)
     with pytest.raises(ValueError):
         is_wifi_match(a, a, beta=0.5, gamma=-0.1)
+
+
+# d ** 2 rounds this d differently from np.power(d, 2.0) and d * d, and
+# the difference reaches the distance once a second shared MAC differs by
+# 0.5 dB; math.exp rounds this exponent differently from np.exp on common
+# hardware. Both are pinned as cases below.
+PINNED_SQUARE = -11.38616528237274
+PINNED_EXPONENT = -1.0185110979227665
+
+fingerprints = st.dictionaries(
+    st.sampled_from(["m0", "m1", "m2", "m3", "m4", "m5"]), st.floats(-120.0, 0.0), max_size=6
+).map(fp)
+
+
+@given(st.lists(fingerprints, min_size=1, max_size=6))
+@example([fp({}), fp({})])  # both empty
+@example([fp({}), fp({"m1": -50.0})])  # one empty
+@example([fp({"m1": -50.0, "m2": -61.0}), fp({"m3": -50.0})])  # disjoint
+@example([fp({"m1": -50.0, "m2": -61.0}), fp({"m1": -53.0, "m3": -70.0})])  # one shared MAC
+@example([fp({"m1": PINNED_SQUARE, "m2": -50.5}), fp({"m1": 0.0, "m2": -50.0})])
+@example([fp({"m1": 32.0 * PINNED_EXPONENT}), fp({"m1": 0.0})])
+def test_wifi_scores_equal_is_wifi_match(fps):
+    # Every ordered pair, a fingerprint with itself included; repr tells
+    # apart floats that == does not (0.0 and -0.0).
+    pairs = [(i, j) for i in range(len(fps)) for j in range(len(fps))]
+    batch = wifi_scores(fps, [i for i, _ in pairs], [j for _, j in pairs])
+    expected = [is_wifi_match(fps[i], fps[j], 0.0, 0.0)[1] for i, j in pairs]
+    assert [repr(score) for score in batch] == [repr(score) for score in expected]
+
+
+def test_wifi_scores_of_no_pairs():
+    assert wifi_scores([], [], []) == []
+    assert wifi_scores([fp({"m1": -50.0})], [], []) == []
 
 
 def scan(t, readings, agent="a0"):
