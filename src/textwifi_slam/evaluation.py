@@ -81,27 +81,38 @@ def _metrics(decisions: Iterable[tuple[bool, bool]]) -> PrMetrics:
     return PrMetrics(tp, fp, fn)
 
 
+def _truths(
+    candidates: Sequence[MatchCandidate], keyframes_by_key: Mapping[NodeKey, Keyframe]
+) -> list[bool]:
+    return [_pair_is_true(keyframes_by_key[c.a], keyframes_by_key[c.b]) for c in candidates]
+
+
+def _wifi_accepts(candidates: Sequence[MatchCandidate], thresholds: Thresholds) -> list[bool]:
+    return [wifi_verdict(c.wifi_score, thresholds) is Verdict.ACCEPTED for c in candidates]
+
+
+def _report(
+    candidates: Sequence[MatchCandidate], truths: list[bool], wifi_ok: list[bool], alpha: float
+) -> ScoreReport:
+    text_ok = [c.text_score >= alpha for c in candidates]
+    fused = [t and w for t, w in zip(text_ok, wifi_ok)]
+    return ScoreReport(
+        text_only=_metrics(zip(text_ok, truths)),
+        wifi_only=_metrics(zip(wifi_ok, truths)),
+        fused=_metrics(zip(fused, truths)),
+        candidate_count=len(truths),
+        positive_count=sum(truths),
+    )
+
+
 def score_candidates(
     candidates: Sequence[MatchCandidate],
     keyframes_by_key: Mapping[NodeKey, Keyframe],
     thresholds: Thresholds,
 ) -> ScoreReport:
     """Score scored candidates against simulator ground truth."""
-    rows: list[tuple[bool, bool, bool, bool]] = []
-    for cand in candidates:
-        a = keyframes_by_key[cand.a]
-        b = keyframes_by_key[cand.b]
-        truth = _pair_is_true(a, b)
-        text_ok = cand.text_score >= thresholds.alpha
-        wifi_ok = wifi_verdict(cand.wifi_score, thresholds) is Verdict.ACCEPTED
-        rows.append((text_ok, wifi_ok, text_ok and wifi_ok, truth))
-    return ScoreReport(
-        text_only=_metrics((r[0], r[3]) for r in rows),
-        wifi_only=_metrics((r[1], r[3]) for r in rows),
-        fused=_metrics((r[2], r[3]) for r in rows),
-        candidate_count=len(rows),
-        positive_count=sum(1 for r in rows if r[3]),
-    )
+    truths = _truths(candidates, keyframes_by_key)
+    return _report(candidates, truths, _wifi_accepts(candidates, thresholds), thresholds.alpha)
 
 
 # The threshold sweep's grid: each alpha against each (beta, gamma) pair.
@@ -113,13 +124,25 @@ def threshold_sweep(
     candidates: Sequence[MatchCandidate],
     keyframes_by_key: Mapping[NodeKey, Keyframe],
 ) -> list[tuple[Thresholds, ScoreReport]]:
-    """Re-score the same candidates across the SWEEP_* grid of gate thresholds."""
-    grid = [
-        Thresholds(alpha=alpha, beta=beta, gamma=gamma)
+    """Re-score the same candidates across the SWEEP_* grid of gate thresholds.
+
+    Each candidate's truth is looked up once, and its WiFi verdict taken
+    once per (beta, gamma) pair; the text gate is a comparison per alpha.
+    """
+    truths = _truths(candidates, keyframes_by_key)
+    # wifi_verdict reads no alpha.
+    wifi_ok = {
+        (beta, gamma): _wifi_accepts(candidates, Thresholds(alpha=0.0, beta=beta, gamma=gamma))
+        for beta, gamma in SWEEP_BETA_GAMMAS
+    }
+    return [
+        (
+            Thresholds(alpha=alpha, beta=beta, gamma=gamma),
+            _report(candidates, truths, wifi_ok[beta, gamma], alpha),
+        )
         for alpha in SWEEP_ALPHAS
         for beta, gamma in SWEEP_BETA_GAMMAS
     ]
-    return [(th, score_candidates(candidates, keyframes_by_key, th)) for th in grid]
 
 
 @dataclass(frozen=True)

@@ -8,14 +8,25 @@ float representation (repr, which round-trips exactly), so identical inputs
 produce identical bytes. A scan is stored as its ranges, one per beam.
 Infinities are not valid JSON; the values that can be infinite (a scan
 range with no return, rss_distance_db) are stored as null.
+
+The recording and match-report writers build their many small rows in
+bulk, with the bytes that one encoder call per row would give. Each row
+fills a fixed template whose keys are already in sorted order. The numbers
+of a whole channel or table go through the encoder as one list, whose text
+is split at its commas: the encoder still writes every float's text and
+still rejects NaN and infinity. Strings never go through that split, since
+their text may hold a comma; each is encoded on its own, or with the list
+it sits in. A recording is read back with one parse of its joined lines,
+and parsed line by line only to name a bad line.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from operator import itemgetter
 from pathlib import Path
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -28,12 +39,20 @@ from .world import FloorPlan, Sign
 
 PathLike = Union[str, Path]
 
-_EVENT_ORDER = {"truth": 0, "odom": 1, "scan": 2, "wifi": 3, "text": 4}
+_RANGE_TYPES = {float, int, type(None)}
+_REPORT_ROWS_PER_WRITE = 1024
+
+# No indent: with one, json falls back to its pure-Python encoder.
+_dumps = json.JSONEncoder(sort_keys=True, allow_nan=False, separators=(",", ":")).encode
 
 
-def _dumps(obj) -> str:
-    # No indent: with one, json falls back to its pure-Python encoder.
-    return json.dumps(obj, sort_keys=True, allow_nan=False, separators=(",", ":"))
+def _number_texts(values: list) -> list[str]:
+    """The JSON text of each item of values, from one encoder call.
+
+    Only numbers and None may come through here: their texts hold no comma,
+    so the encoded list splits back into its items. A string's text may.
+    """
+    return _dumps(values)[1:-1].split(",") if values else []
 
 
 def save_json(path: PathLike, obj) -> None:
@@ -111,40 +130,76 @@ def load_floorplan(path: PathLike) -> FloorPlan:
 # ---------------------------------------------------------------- recording
 
 
-def _recording_events(rec: Recording) -> list[tuple[float, int, dict]]:
-    events: list[tuple[float, int, dict]] = []
-
-    def add(t: float, kind: str, payload: dict) -> None:
-        events.append(
-            (t, _EVENT_ORDER[kind], {"t": t, "agent": rec.agent_id, "kind": kind, "payload": payload})
-        )
-
-    for s in rec.truth:
-        add(s.timestamp, "truth", {"x": s.pose.x, "y": s.pose.y, "theta": s.pose.theta})
-    for o in rec.odometry:
-        add(o.timestamp, "odom", {"dx": o.dx, "dy": o.dy, "dtheta": o.dtheta})
-    for sc in rec.scans:
-        ranges = [None if r == math.inf else r for r in sc.ranges.tolist()]
-        add(sc.timestamp, "scan", {"ranges": ranges})
-    for w in rec.wifi:
-        add(w.timestamp, "wifi", {"readings": [[mac, rss] for mac, rss in w.readings]})
-    for tx in rec.texts:
-        add(tx.timestamp, "text", {"string": tx.text, "sign_id_truth": tx.sign_id_truth})
-    events.sort(key=lambda e: (e[0], e[1]))
-    return events
-
-
 def save_recording(path: PathLike, rec: Recording) -> None:
-    lines = [_dumps(row) for _, _, row in _recording_events(rec)]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    """One line per event, in time order; simultaneous events in the order
+    truth, odom, scan, wifi, text, and each channel in its own order.
+
+    Each kind of event fills a fixed template whose keys are in sorted
+    order. A truth or odometry channel's numbers take one encoder call, and
+    so does a scan's ranges or a sweep's readings.
+    """
+    head = '{"agent":' + _dumps(rec.agent_id) + ',"kind":'
+    pose = _number_texts(
+        [v for s in rec.truth for v in (s.pose.theta, s.pose.x, s.pose.y, s.timestamp)]
+    )
+    step = _number_texts([v for o in rec.odometry for v in (o.dtheta, o.dx, o.dy, o.timestamp)])
+    channels = [
+        (rec.truth, (
+            f'{head}"truth","payload":{{"theta":{th},"x":{x},"y":{y}}},"t":{t}}}'
+            for th, x, y, t in _fours(pose)
+        )),
+        (rec.odometry, (
+            f'{head}"odom","payload":{{"dtheta":{dth},"dx":{dx},"dy":{dy}}},"t":{t}}}'
+            for dth, dx, dy, t in _fours(step)
+        )),
+        (rec.scans, (
+            f'{head}"scan","payload":{{"ranges":{_dumps(_ranges_to_list(sc.ranges))}}},"t":{t}}}'
+            for sc, t in zip(rec.scans, _times(rec.scans))
+        )),
+        (rec.wifi, (
+            f'{head}"wifi","payload":{{"readings":{_dumps(w.readings)}}},"t":{t}}}'
+            for w, t in zip(rec.wifi, _times(rec.wifi))
+        )),
+        (rec.texts, (
+            f'{head}"text","payload":{{"sign_id_truth":{_dumps(tx.sign_id_truth)},'
+            f'"string":{_dumps(tx.text)}}},"t":{t}}}'
+            for tx, t in zip(rec.texts, _times(rec.texts))
+        )),
+    ]
+    events = [
+        (event.timestamp, line)
+        for channel, lines in channels
+        for event, line in zip(channel, lines)
+    ]
+    events.sort(key=itemgetter(0))  # stable: ties keep the order above
+    text = "\n".join(line for _, line in events)
+    Path(path).write_text(text + ("\n" if events else ""), encoding="utf-8")
+
+
+def _fours(texts: list[str]) -> Iterable[tuple[str, str, str, str]]:
+    return zip(*[iter(texts)] * 4)
+
+
+def _times(channel: Sequence) -> list[str]:
+    return _number_texts([event.timestamp for event in channel])
+
+
+def _ranges_to_list(ranges: np.ndarray) -> list:
+    """A scan's ranges as a JSON list, null meaning no return (inf)."""
+    values = ranges.tolist()
+    for beam in np.flatnonzero(ranges == math.inf).tolist():
+        values[beam] = None
+    return values
 
 
 def load_recording(path: PathLike) -> Recording:
+    numbered = [
+        (lineno, line)
+        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1)
+        if line.strip()
+    ]
     rec: Recording | None = None
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        row = json.loads(line)
+    for (lineno, _), row in zip(numbered, _parse_lines(path, numbered)):
         try:
             t, agent, kind, payload = row["t"], row["agent"], row["kind"], row["payload"]
         except KeyError as exc:
@@ -153,39 +208,70 @@ def load_recording(path: PathLike) -> Recording:
             rec = Recording(agent_id=agent)
         elif agent != rec.agent_id:
             raise ValueError(f"{path}:{lineno}: mixed agents {rec.agent_id!r} and {agent!r}")
-        if kind == "truth":
-            rec.truth.append(TruthSample(t, Pose2(payload["x"], payload["y"], payload["theta"])))
-        elif kind == "odom":
-            rec.odometry.append(OdometryStep(t, payload["dx"], payload["dy"], payload["dtheta"]))
-        elif kind == "scan":
-            ranges = _ranges_from_list(payload.get("ranges"), path, lineno)
-            rec.scans.append(ScanEvent(t, agent, ranges))
-        elif kind == "wifi":
-            readings = tuple((mac, float(rss)) for mac, rss in payload["readings"])
-            rec.wifi.append(WifiScan(t, agent, readings))
-        elif kind == "text":
-            rec.texts.append(
-                TextObservation(t, agent, payload["string"], payload.get("sign_id_truth"))
-            )
-        else:
-            raise ValueError(f"{path}:{lineno}: unknown event kind {kind!r}")
+        try:
+            if kind == "truth":
+                rec.truth.append(
+                    TruthSample(t, Pose2(payload["x"], payload["y"], payload["theta"]))
+                )
+            elif kind == "odom":
+                rec.odometry.append(
+                    OdometryStep(t, payload["dx"], payload["dy"], payload["dtheta"])
+                )
+            elif kind == "scan":
+                ranges = _ranges_from_list(payload.get("ranges"), path, lineno)
+                rec.scans.append(ScanEvent(t, agent, ranges))
+            elif kind == "wifi":
+                readings = tuple((mac, float(rss)) for mac, rss in payload["readings"])
+                rec.wifi.append(WifiScan(t, agent, readings))
+            elif kind == "text":
+                rec.texts.append(
+                    TextObservation(t, agent, payload["string"], payload.get("sign_id_truth"))
+                )
+            else:
+                raise ValueError(f"{path}:{lineno}: unknown event kind {kind!r}")
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"{path}:{lineno}: malformed {kind} payload: {exc!r}") from exc
     if rec is None:
         raise ValueError(f"{path}: recording holds no events")
     return rec
 
 
+def _parse_lines(path: PathLike, numbered: Sequence[tuple[int, str]]) -> list:
+    """The JSON value of each (lineno, line), from one parse of the joined lines.
+
+    A file that does not parse that way, or parses to a different number of
+    values, is parsed again line by line, so the error names its bad line.
+    """
+    try:
+        rows = json.loads("[" + ",".join([line for _, line in numbered]) + "]")
+    except json.JSONDecodeError:
+        rows = None
+    if rows is None or len(rows) != len(numbered):
+        rows = []
+        for lineno, line in numbered:
+            try:
+                rows.append(json.loads(line))
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    return rows
+
+
 def _ranges_from_list(raw, path: PathLike, lineno: int) -> np.ndarray:
     """A scan's ranges from their JSON list, null meaning no return (inf)."""
-    if not (
+    if (
         isinstance(raw, list)
         and len(raw) == SCAN_RAY_COUNT
-        and all(r is None or (type(r) in (int, float) and math.isfinite(r)) for r in raw)
+        and set(map(type, raw)) <= _RANGE_TYPES
     ):
-        raise ValueError(
-            f"{path}:{lineno}: a scan payload holds \"ranges\", a list of "
-            f"{SCAN_RAY_COUNT} finite numbers or nulls"
-        )
-    return np.array([math.inf if r is None else r for r in raw], dtype=float)
+        ranges = np.array(raw, dtype=float)  # a null reads as nan
+        no_return = np.isnan(ranges)
+        if np.count_nonzero(no_return) == raw.count(None) and not np.isinf(ranges).any():
+            ranges[no_return] = math.inf
+            return ranges
+    raise ValueError(
+        f"{path}:{lineno}: a scan payload holds \"ranges\", a list of "
+        f"{SCAN_RAY_COUNT} finite numbers or nulls"
+    )
 
 
 def recording_path(out_dir: PathLike, agent_id: str) -> Path:
@@ -229,19 +315,6 @@ def _node_from_list(raw: Sequence) -> NodeKey:
     return (str(raw[0]), int(raw[1]))
 
 
-def candidate_to_dict(cand: MatchCandidate) -> dict:
-    d = cand.wifi_score.rss_distance_db
-    return {
-        "a": _node_to_list(cand.a),
-        "b": _node_to_list(cand.b),
-        "text_score": cand.text_score,
-        "mac_similarity": cand.wifi_score.mac_similarity,
-        "rss_distance_db": None if math.isinf(d) else d,
-        "rss_similarity": cand.wifi_score.rss_similarity,
-        "verdict": cand.verdict.value,
-    }
-
-
 def candidate_from_dict(data: Mapping) -> MatchCandidate:
     d = data["rss_distance_db"]
     return MatchCandidate(
@@ -257,20 +330,56 @@ def candidate_from_dict(data: Mapping) -> MatchCandidate:
     )
 
 
+def _null_if_infinite(value: float) -> float | None:
+    return None if math.isinf(value) else value
+
+
 def save_match_report(
     path: PathLike,
     candidates: Sequence[MatchCandidate],
     verified: Sequence[Sequence[NodeKey]],
     settings: Mapping[str, float],
 ) -> None:
-    save_json(
-        path,
-        {
-            "settings": dict(settings),
-            "candidates": [candidate_to_dict(c) for c in candidates],
-            "verified_locations": [[_node_to_list(k) for k in group] for group in verified],
-        },
-    )
+    """The report as one JSON document. The candidate table is built
+    _REPORT_ROWS_PER_WRITE rows at a time, which bounds the memory its
+    texts take, and all of it before the file is opened, so a value that
+    cannot be written leaves no file behind."""
+    agents = {key[0] for c in candidates for key in (c.a, c.b)}
+    agent_text = {agent: _dumps(agent) for agent in agents}
+    verdict_text = {v: _dumps(v.value) for v in Verdict}
+
+    def rows(batch: Sequence[MatchCandidate]) -> str:
+        numbers = _number_texts([
+            v
+            for c in batch
+            for v in (
+                c.a[1],
+                c.b[1],
+                c.wifi_score.mac_similarity,
+                _null_if_infinite(c.wifi_score.rss_distance_db),
+                c.wifi_score.rss_similarity,
+                c.text_score,
+            )
+        ])
+        return ",".join(
+            f'{{"a":[{agent_text[c.a[0]]},{ka}],"b":[{agent_text[c.b[0]]},{kb}],'
+            f'"mac_similarity":{mac},"rss_distance_db":{dist},"rss_similarity":{rss},'
+            f'"text_score":{text},"verdict":{verdict_text[c.verdict]}}}'
+            for c, (ka, kb, mac, dist, rss, text) in zip(batch, zip(*[iter(numbers)] * 6))
+        )
+
+    tables = [
+        rows(candidates[start : start + _REPORT_ROWS_PER_WRITE])
+        for start in range(0, len(candidates), _REPORT_ROWS_PER_WRITE)
+    ]
+    verified_text = _dumps([[_node_to_list(k) for k in group] for group in verified])
+    with open(path, "w", encoding="utf-8") as f:
+        f.write('{"candidates":[')
+        for i, table in enumerate(tables):
+            f.write("," + table if i else table)
+        f.write(
+            f'],"settings":{_dumps(dict(settings))},"verified_locations":{verified_text}}}\n'
+        )
 
 
 def load_match_report(path: PathLike) -> list[MatchCandidate]:

@@ -11,12 +11,15 @@ config. Align registers its accepted matches one visit pair at a time (the
 first pair in full, the rest warm-started from it) in forked worker
 processes, one per usable CPU, and joins them before it returns; results
 do not depend on the worker count. Evaluate scores the matches and the map
-against the simulator's truth.
+against the simulator's truth. Simulate, match and the artifact readers and
+writers run with the cyclic garbage collector paused; align never does.
 """
 
 from __future__ import annotations
 
+import gc
 import logging
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping, Optional
@@ -70,6 +73,24 @@ METRICS_FILE = "metrics.json"
 LATER_STAGE_FILES = (MATCH_REPORT_FILE, TRAJECTORIES_FILE, MERGED_MAP_FILE, METRICS_FILE)
 
 
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector, then restore its previous state.
+
+    Simulation, matching and the artifact readers and writers build many
+    small objects and no reference cycles, so a collection during them
+    finds nothing to free. Never pause it around the align stage, whose
+    worker processes fork from this one.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 @dataclass
 class PipelineResult:
     config: RunConfig
@@ -100,6 +121,7 @@ def stage_generate(cfg: RunConfig) -> tuple[FloorPlan, list[AgentScript]]:
     return plan, list(scripts)
 
 
+@_gc_paused()
 def stage_simulate(plan: FloorPlan, scripts: list[AgentScript]) -> dict[str, Recording]:
     return {script.agent_id: simulate_recording(plan, script) for script in scripts}
 
@@ -111,6 +133,7 @@ def extract_all_keyframes(recordings: Mapping[str, Recording]) -> list[Keyframe]
     return keyframes
 
 
+@_gc_paused()
 def stage_match(
     recordings: Mapping[str, Recording], cfg: RunConfig
 ) -> tuple[list[Keyframe], list[MatchCandidate], list[list[NodeKey]]]:
@@ -266,6 +289,7 @@ def run_all(cfg: RunConfig, *, out_dir: Optional[Path] = None) -> PipelineResult
     return result
 
 
+@_gc_paused()
 def _write_generate(result: PipelineResult, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     for stale in [*io_formats.recording_files(out_dir), *(out_dir / n for n in LATER_STAGE_FILES)]:
@@ -274,10 +298,12 @@ def _write_generate(result: PipelineResult, out_dir: Path) -> None:
     io_formats.save_floorplan(out_dir / FLOORPLAN_FILE, result.plan)
 
 
+@_gc_paused()
 def _write_simulate(result: PipelineResult, out_dir: Path) -> None:
     io_formats.save_recordings(out_dir, result.recordings)
 
 
+@_gc_paused()
 def _write_match(result: PipelineResult, out_dir: Path) -> None:
     cfg = result.config
     settings = {
@@ -292,6 +318,7 @@ def _write_match(result: PipelineResult, out_dir: Path) -> None:
     )
 
 
+@_gc_paused()
 def _write_align(result: PipelineResult, out_dir: Path) -> None:
     io_formats.save_trajectories(
         out_dir / TRAJECTORIES_FILE, result.initial, result.optimized, result.graph_summary
@@ -299,6 +326,7 @@ def _write_align(result: PipelineResult, out_dir: Path) -> None:
     io_formats.save_merged_map(out_dir / MERGED_MAP_FILE, result.merged)
 
 
+@_gc_paused()
 def _write_evaluate(result: PipelineResult, out_dir: Path) -> None:
     io_formats.save_json(out_dir / METRICS_FILE, result.metrics)
 
@@ -313,13 +341,20 @@ def write_artifacts(result: PipelineResult, out_dir: Path) -> None:
     _write_evaluate(result, out_dir)
 
 
+@_gc_paused()
+def _read_recordings(cfg: RunConfig, out_dir: Path) -> PipelineResult:
+    return PipelineResult(config=cfg, recordings=io_formats.load_recordings(out_dir))
+
+
+@_gc_paused()
 def _read_align_inputs(cfg: RunConfig, out_dir: Path) -> PipelineResult:
-    result = PipelineResult(config=cfg, recordings=io_formats.load_recordings(out_dir))
+    result = _read_recordings(cfg, out_dir)
     result.candidates = io_formats.load_match_report(out_dir / MATCH_REPORT_FILE)
     result.keyframes = extract_all_keyframes(result.recordings)
     return result
 
 
+@_gc_paused()
 def _read_evaluate_inputs(cfg: RunConfig, out_dir: Path) -> PipelineResult:
     result = _read_align_inputs(cfg, out_dir)
     result.plan = io_formats.load_floorplan(out_dir / FLOORPLAN_FILE)
@@ -345,7 +380,7 @@ def run_simulate(cfg: RunConfig, out_dir: Path) -> PipelineResult:
 
 
 def run_match(cfg: RunConfig, out_dir: Path) -> PipelineResult:
-    result = PipelineResult(config=cfg, recordings=io_formats.load_recordings(out_dir))
+    result = _read_recordings(cfg, out_dir)
     result.keyframes, result.candidates, result.verified = stage_match(result.recordings, cfg)
     _write_match(result, out_dir)
     return result

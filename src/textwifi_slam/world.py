@@ -10,6 +10,7 @@ ray or access point against every wall in one array operation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -77,9 +78,13 @@ class FloorPlan:
         return min(xs), min(ys), max(xs), max(ys)
 
 
+@functools.lru_cache(maxsize=8)
 def _wall_arrays(walls: tuple[Wall, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The walls' start and end points as read-only (w, 2) arrays, built
+    once per walls tuple: a simulation casts every scan against one plan."""
     starts = np.array([w[0] for w in walls], dtype=float)
     ends = np.array([w[1] for w in walls], dtype=float)
+    starts.flags.writeable = ends.flags.writeable = False
     return starts, ends
 
 

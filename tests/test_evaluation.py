@@ -17,7 +17,14 @@ from textwifi_slam.evaluation import (
 from textwifi_slam.geometry import Pose2, compose, transform_points
 from textwifi_slam.icp import _rigid_fit
 from textwifi_slam.pipeline import extract_all_keyframes, stage_generate, stage_simulate
-from textwifi_slam.place_recognition import MatchCandidate, Thresholds, Verdict, decide_match
+from textwifi_slam.place_recognition import (
+    MatchCandidate,
+    Thresholds,
+    Verdict,
+    decide_match,
+    match_all,
+    wifi_verdict,
+)
 from textwifi_slam.simulate import Recording, TruthSample
 from textwifi_slam.wifi import WifiMatchScore
 
@@ -112,6 +119,31 @@ def test_sweep_covers_the_grid_and_matches_single_scoring(scored_world):
 
     strict = rows[Thresholds(alpha=1.0, beta=0.9, gamma=0.9)]
     assert strict.text_only == PrMetrics(0, 0, 2)  # nothing survives alpha = 1.0
+
+
+def reference_score(candidates, by_key, th: Thresholds) -> PrMetrics:
+    """The fused row, decided one candidate at a time from its keyframes."""
+    tp = fp = fn = 0
+    for c in candidates:
+        truth = by_key[c.a].text_obs.sign_id_truth == by_key[c.b].text_obs.sign_id_truth
+        accepted = c.text_score >= th.alpha and wifi_verdict(c.wifi_score, th) is Verdict.ACCEPTED
+        tp += accepted and truth
+        fp += accepted and not truth
+        fn += truth and not accepted
+    return PrMetrics(tp, fp, fn)
+
+
+def test_every_sweep_row_equals_scoring_at_its_thresholds(scored_world):
+    plan, scripts = stage_generate(RunConfig(scenario="scene02"))
+    keyframes = extract_all_keyframes(stage_simulate(plan, scripts))
+    by_key = {kf.key: kf for kf in keyframes}
+    candidates = match_all(keyframes, RunConfig().thresholds())
+    for cands, keys in ((candidates, by_key), scored_world):
+        rows = threshold_sweep(cands, keys)
+        assert len(rows) == 9
+        for th, report in rows:
+            assert report == score_candidates(cands, keys, th)
+            assert report.fused == reference_score(cands, keys, th)
 
 
 def truth_recording(agent: str, samples) -> Recording:

@@ -7,10 +7,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from textwifi_slam import io_formats
 from textwifi_slam.geometry import PointCloud2, Pose2
 from textwifi_slam.io_formats import (
     candidate_from_dict,
-    candidate_to_dict,
     load_floorplan,
     load_match_report,
     load_merged_map,
@@ -62,7 +62,103 @@ def sample_recording() -> Recording:
     )
 
 
+def reference_dumps(row) -> str:
+    return json.dumps(row, sort_keys=True, allow_nan=False, separators=(",", ":"))
+
+
+def reference_recording_text(rec: Recording) -> str:
+    """One json.dumps per event, sorted by time and then channel."""
+    order = {"truth": 0, "odom": 1, "scan": 2, "wifi": 3, "text": 4}
+    events = []
+
+    def add(t, kind, payload):
+        row = {"t": t, "agent": rec.agent_id, "kind": kind, "payload": payload}
+        events.append((t, order[kind], row))
+
+    for s in rec.truth:
+        add(s.timestamp, "truth", {"x": s.pose.x, "y": s.pose.y, "theta": s.pose.theta})
+    for o in rec.odometry:
+        add(o.timestamp, "odom", {"dx": o.dx, "dy": o.dy, "dtheta": o.dtheta})
+    for sc in rec.scans:
+        ranges = [None if r == math.inf else r for r in sc.ranges.tolist()]
+        add(sc.timestamp, "scan", {"ranges": ranges})
+    for w in rec.wifi:
+        add(w.timestamp, "wifi", {"readings": [[mac, rss] for mac, rss in w.readings]})
+    for tx in rec.texts:
+        add(tx.timestamp, "text", {"string": tx.text, "sign_id_truth": tx.sign_id_truth})
+    events.sort(key=lambda e: (e[0], e[1]))
+    return "".join(reference_dumps(row) + "\n" for _, _, row in events)
+
+
+def edge_case_recording() -> Recording:
+    """Every channel, with the float texts and strings a writer can get wrong."""
+    agent = "agënt,7"
+    return Recording(
+        agent_id=agent,
+        truth=[
+            TruthSample(0.0, Pose2(1.0, 1e-05, 0.5)),
+            TruthSample(1e16, Pose2(1e16, -0.0, -1e-05)),
+            TruthSample(0.5, Pose2(-0.0, 3, 1.0)),
+        ],
+        odometry=[OdometryStep(1e-05, 1.0, -0.0, 1e16), OdometryStep(0.5, 0, 1e-05, -0.0)],
+        scans=[
+            ScanEvent(0.5, agent, scan_ranges((0, 1.0), (1, 1e-05), (359, 1e16))),
+            ScanEvent(1.0, agent, scan_ranges()),
+        ],
+        wifi=[
+            WifiScan(0.5, agent, ()),
+            WifiScan(1.0, agent, (("ap,00", -0.0), ("äp\"01", -1e-05), ("ap02", -1e16))),
+        ],
+        texts=[
+            TextObservation(0.5, agent, "CAFÉ «Ω», 1", "s_ü"),
+            TextObservation(1e16, agent, "EXIT", None),
+        ],
+    )
+
+
+def broken(rec: Recording, channel: str, index: int, name: str, value) -> Recording:
+    """rec with one field of a frozen event overwritten, past its validation."""
+    event = getattr(rec, channel)[index]
+    object.__setattr__(event.pose if channel == "truth" else event, name, value)
+    return rec
+
+
 class TestRecording:
+    def test_bytes_equal_one_dumps_per_event(self, tmp_path):
+        rec = edge_case_recording()
+        path = tmp_path / "recording.jsonl"
+        save_recording(path, rec)
+        assert path.read_bytes() == reference_recording_text(rec).encode("utf-8")
+        again = tmp_path / "again.jsonl"
+        save_recording(again, load_recording(path))
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_simulated_bytes_equal_one_dumps_per_event(self, tmp_path):
+        plan = generate_floorplan(0, seed=5)
+        waypoints = (((1.5, 1.5), 0.0), ((10.5, 1.5), 2.0), ((1.5, 1.5), 0.0))
+        rec = simulate_recording(plan, AgentScript("a0", waypoints, seed=11))
+        path = tmp_path / "recording.jsonl"
+        save_recording(path, rec)
+        assert path.read_bytes() == reference_recording_text(rec).encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "where",
+        [
+            ("truth", 1, "theta", math.nan),
+            ("truth", 0, "x", math.inf),
+            ("odometry", 0, "dy", -math.inf),
+            ("odometry", 1, "dtheta", math.nan),
+            ("wifi", 1, "readings", (("ap00", -50.0), ("ap01", math.inf))),
+            ("wifi", 1, "readings", (("ap00", math.nan),)),
+        ],
+        ids=["truth-nan", "truth-inf", "odom-inf", "odom-nan", "rss-inf", "rss-nan"],
+    )
+    def test_a_non_finite_value_is_not_written(self, tmp_path, where):
+        path = tmp_path / "recording.jsonl"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            save_recording(path, broken(edge_case_recording(), *where))
+        assert not path.exists()
+
     def test_round_trip_is_exact(self, tmp_path):
         rec = sample_recording()
         path = tmp_path / "recording_a0.jsonl"
@@ -92,6 +188,46 @@ class TestRecording:
         path = tmp_path / "broken.jsonl"
         path.write_text('{"t": 0.0, "agent": "a0"}\n')
         with pytest.raises(ValueError, match=":1:"):
+            load_recording(path)
+
+    def test_broken_json_names_the_file_and_line(self, tmp_path):
+        path = tmp_path / "broken.jsonl"
+        save_recording(path, sample_recording())
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1][:22]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"broken\.jsonl:2: Unterminated string"):
+            load_recording(path)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"kind": "truth", "payload": {"x": 0.0, "y": 0.0}},
+            {"kind": "odom", "payload": {"dx": 0.0, "dtheta": 0.0}},
+            {"kind": "wifi", "payload": {}},
+            {"kind": "text", "payload": {"sign_id_truth": "s0"}},
+            {"kind": "truth", "payload": [0.0, 0.0, 0.0]},
+        ],
+        ids=["truth-without-theta", "odom-without-dy", "wifi-without-readings",
+             "text-without-string", "truth-list"],
+    )
+    def test_malformed_payload_names_the_file_and_line(self, tmp_path, payload):
+        path = tmp_path / "broken.jsonl"
+        odom = {"t": 0.0, "agent": "a0", "kind": "odom", "payload": {"dx": 0, "dy": 0, "dtheta": 0}}
+        event = {"t": 0.1, "agent": "a0", **payload}
+        path.write_text(json.dumps(odom) + "\n\n" + json.dumps(event) + "\n")
+        kind = payload["kind"]
+        with pytest.raises(ValueError, match=rf"broken\.jsonl:3: malformed {kind} payload"):
+            load_recording(path)
+
+    def test_an_event_split_over_two_lines_is_an_error(self, tmp_path):
+        # Joined with a comma, the two halves parse as one event; alone,
+        # neither does.
+        path = tmp_path / "broken.jsonl"
+        save_recording(path, sample_recording())
+        text = path.read_text()
+        path.write_text(text.replace(',"kind":"odom"', '\n"kind":"odom"', 1))
+        with pytest.raises(ValueError, match=r"broken\.jsonl:2: Expecting ',' delimiter"):
             load_recording(path)
 
     def test_unknown_event_kind_rejected(self, tmp_path):
@@ -214,12 +350,87 @@ class TestMatchReport:
         ("a0", 1), ("a1", 4), 0.40, WifiMatchScore(0.0, math.inf, 0.0), Verdict.REJECTED_TEXT
     )
 
-    def test_infinite_rss_distance_stored_as_null(self):
-        row = candidate_to_dict(self.C_INF)
+    def test_infinite_rss_distance_stored_as_null(self, tmp_path):
+        path = tmp_path / "match_report.json"
+        save_match_report(path, [self.C_INF], [], {})
+        row = json.loads(path.read_text())["candidates"][0]
         assert row["rss_distance_db"] is None
         back = candidate_from_dict(row)
         assert back == self.C_INF
         assert math.isinf(back.wifi_score.rss_distance_db)
+
+    @staticmethod
+    def reference_report_text(candidates, verified, settings) -> str:
+        def row(c):
+            d = c.wifi_score.rss_distance_db
+            return {
+                "a": [c.a[0], c.a[1]],
+                "b": [c.b[0], c.b[1]],
+                "text_score": c.text_score,
+                "mac_similarity": c.wifi_score.mac_similarity,
+                "rss_distance_db": None if math.isinf(d) else d,
+                "rss_similarity": c.wifi_score.rss_similarity,
+                "verdict": c.verdict.value,
+            }
+
+        document = {
+            "settings": dict(settings),
+            "candidates": [row(c) for c in candidates],
+            "verified_locations": [[[k[0], k[1]] for k in group] for group in verified],
+        }
+        return reference_dumps(document) + "\n"
+
+    def test_bytes_equal_one_dumps_of_the_document(self, tmp_path):
+        candidates = [
+            self.C_FINITE,
+            self.C_INF,
+            MatchCandidate(
+                ("a,0", 0), ("ä1", 12), 1e-05,
+                WifiMatchScore(1.0, -0.0, 1e16), Verdict.REJECTED_RSS,
+            ),
+            MatchCandidate(
+                ("a,0", 3), ("a1", 4), 1.0,
+                WifiMatchScore(0.5, -math.inf, 0.0), Verdict.REJECTED_MAC,
+            ),
+        ]
+        verified = [[("a,0", 0), ("ä1", 12)], [("a0", 0), ("a1", 3), ("a1", 4)]]
+        settings = {"gamma": 0.8, "alpha": 1, "sigma_scale_db": 1e16, "min_loop_separation_s": 30}
+        path = tmp_path / "match_report.json"
+        save_match_report(path, candidates, verified, settings)
+        reference = self.reference_report_text(candidates, verified, settings)
+        assert path.read_bytes() == reference.encode("utf-8")
+
+    @pytest.mark.parametrize("rows_per_write", [1, 2, 3, 1024])
+    def test_bytes_do_not_depend_on_the_rows_per_write(
+        self, tmp_path, monkeypatch, rows_per_write
+    ):
+        monkeypatch.setattr(io_formats, "_REPORT_ROWS_PER_WRITE", rows_per_write)
+        candidates = [
+            replace(self.C_FINITE, a=("a0", i), text_score=i / 7.0) for i in range(5)
+        ] + [self.C_INF]
+        path = tmp_path / "match_report.json"
+        save_match_report(path, candidates, [], {"alpha": 0.8})
+        reference = self.reference_report_text(candidates, [], {"alpha": 0.8})
+        assert path.read_bytes() == reference.encode("utf-8")
+        assert load_match_report(path) == candidates
+
+    def test_empty_report_bytes(self, tmp_path):
+        path = tmp_path / "match_report.json"
+        save_match_report(path, [], [], {"alpha": 0.8})
+        assert path.read_text() == self.reference_report_text([], [], {"alpha": 0.8})
+
+    @pytest.mark.parametrize("field", ["text_score", "mac_similarity", "rss_similarity"])
+    def test_a_non_finite_score_is_not_written(self, tmp_path, monkeypatch, field):
+        cand = self.C_FINITE
+        if field == "text_score":
+            cand = replace(cand, text_score=math.nan)
+        else:
+            cand = replace(cand, wifi_score=replace(cand.wifi_score, **{field: math.inf}))
+        path = tmp_path / "match_report.json"
+        monkeypatch.setattr(io_formats, "_REPORT_ROWS_PER_WRITE", 1)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            save_match_report(path, [self.C_FINITE, cand], [], {})
+        assert not path.exists()
 
     def test_report_round_trip(self, tmp_path):
         path = tmp_path / "match_report.json"

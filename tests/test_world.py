@@ -14,6 +14,7 @@ from textwifi_slam.world import (
     LENGTH_M,
     FloorPlan,
     Sign,
+    _wall_arrays,
     count_wall_crossings,
     generate_floorplan,
     raycast,
@@ -87,6 +88,16 @@ points = st.tuples(coordinates, coordinates)
 def test_batched_crossings_equal_the_per_segment_reference(sources, receiver, walls):
     counts = count_wall_crossings(sources, receiver, tuple(walls))
     assert counts.tolist() == _crossings_one_by_one(sources, receiver, walls)
+
+
+def test_wall_arrays_are_built_once_per_walls_and_read_only():
+    starts, ends = _wall_arrays(SQUARE)
+    again = _wall_arrays(tuple(list(SQUARE)))
+    assert again[0] is starts and again[1] is ends
+    assert starts.tolist() == [list(a) for a, _ in SQUARE]
+    assert ends.tolist() == [list(b) for _, b in SQUARE]
+    with pytest.raises(ValueError, match="read-only"):
+        starts[0, 0] = 1.0
 
 
 def test_template_derived_dimensions():
