@@ -311,25 +311,6 @@ def _node_to_list(key: NodeKey) -> list:
     return [key[0], key[1]]
 
 
-def _node_from_list(raw: Sequence) -> NodeKey:
-    return (str(raw[0]), int(raw[1]))
-
-
-def candidate_from_dict(data: Mapping) -> MatchCandidate:
-    d = data["rss_distance_db"]
-    return MatchCandidate(
-        a=_node_from_list(data["a"]),
-        b=_node_from_list(data["b"]),
-        text_score=data["text_score"],
-        wifi_score=WifiMatchScore(
-            mac_similarity=data["mac_similarity"],
-            rss_distance_db=math.inf if d is None else d,
-            rss_similarity=data["rss_similarity"],
-        ),
-        verdict=Verdict(data["verdict"]),
-    )
-
-
 def _null_if_infinite(value: float) -> float | None:
     return None if math.isinf(value) else value
 
@@ -382,9 +363,40 @@ def save_match_report(
         )
 
 
+_VERDICTS = {v.value: v for v in Verdict}
+_candidate_fields = itemgetter(
+    "a", "b", "text_score", "mac_similarity", "rss_distance_db", "rss_similarity", "verdict"
+)
+
+
 def load_match_report(path: PathLike) -> list[MatchCandidate]:
-    """The report's candidates; no stage reads its verified locations back."""
-    return [candidate_from_dict(c) for c in load_json(path)["candidates"]]
+    """The report's candidates; no stage reads its verified locations back.
+
+    A row that lacks a field, holds a node key that is not one agent and
+    one keyframe id, or names an unknown verdict raises ValueError naming
+    the file and the row's index.
+    """
+    candidates = []
+    for i, row in enumerate(load_json(path)["candidates"]):
+        try:
+            raw_a, raw_b, text, mac, dist, rss, verdict = _candidate_fields(row)
+        except KeyError as exc:
+            raise ValueError(f"{path}: candidate {i}: missing field {exc}") from None
+        try:
+            (agent_a, id_a), (agent_b, id_b) = raw_a, raw_b
+            a, b = (str(agent_a), int(id_a)), (str(agent_b), int(id_b))
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"{path}: candidate {i}: a node key is an agent and a keyframe id, "
+                f"got {raw_a!r} and {raw_b!r}"
+            ) from None
+        if verdict not in _VERDICTS:
+            raise ValueError(f"{path}: candidate {i}: unknown verdict {verdict!r}")
+        candidates.append(MatchCandidate(
+            a, b, text, WifiMatchScore(mac, math.inf if dist is None else dist, rss),
+            _VERDICTS[verdict],
+        ))
+    return candidates
 
 
 # ------------------------------------------------------------- trajectories

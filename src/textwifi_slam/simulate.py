@@ -6,6 +6,18 @@ scans, WiFi sweeps, text detections) is driven by a single seeded generator
 in a fixed per-tick order, so a recording is a pure function of the plan,
 the script and the seed.
 
+A recording is simulated in three passes. The first computes the true pose
+at every tick and the true step between ticks. The second computes the
+route's noise-free geometry in arrays: the scans' ranges a few scans per
+raycast call, every WiFi sweep's wall crossings in one call, and which
+signs the agent tries to read at which ticks. The third draws the noise in
+one pass over the ticks, in the per-tick order: a tick's odometry step, its
+scan, its WiFi sweep, then its sign attempts in plan order. A recording
+equals, bit for bit, the one a single loop over the ticks gives
+(tests/test_simulate.py keeps that loop as the reference): the arrays do
+only the elementwise arithmetic and comparisons that loop did, and the
+hypot, log10, cosine and sine it took in scalar math are still taken so.
+
 A scan is recorded as a planar laser scanner reports it (as in a ROS
 sensor_msgs/LaserScan): one range per beam at fixed angles, inf where the
 beam got no return. Its point cloud is derived from the ranges by
@@ -18,14 +30,14 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .geometry import Pose2, PointCloud2, compose, relative_pose
 from .text_matching import TextObservation, corrupt_text
 from .wifi import WifiScan, predicted_rss
-from .world import FloorPlan, count_wall_crossings, raycast
+from .world import FloorPlan, Sign, count_wall_crossings, raycast
 
 TICK_S = 0.1
 SCAN_RAY_COUNT = 360
@@ -40,6 +52,9 @@ SCAN_HZ = 1.0
 WIFI_HZ = 2.0
 _SCAN_EVERY = round(1.0 / (SCAN_HZ * TICK_S))  # ticks
 _WIFI_EVERY = round(1.0 / (WIFI_HZ * TICK_S))
+# Scans are raycast this many to a call. One call over all of a route's
+# scans ran slower than one call per scan; batches of 4 ran fastest.
+_RAYCAST_BATCH = 4
 WIFI_SENSITIVITY_DBM = -75.0
 # Agents read a sign only from within 2 m, so the reads of one sign cluster
 # tightly: any two lie at most 4 m apart. That keeps their WiFi fingerprints
@@ -247,6 +262,81 @@ def _pose_in_phase(phase: _Phase, t: float) -> Pose2:
     return Pose2(phase.start[0] + c * travelled, phase.start[1] + s * travelled, phase.heading)
 
 
+def _truth_poses(script: AgentScript) -> list[Pose2]:
+    """The agent's true pose at every tick k * TICK_S, from k = 0 until the
+    route's end, clamped to the end pose on the last tick."""
+    phases = _build_phases(script)
+    total_time = phases[-1].t_end
+    n_ticks = max(1, math.ceil(total_time / TICK_S - 1e-9))
+    poses: list[Pose2] = []
+    phase_idx = 0
+    for k in range(n_ticks + 1):
+        clamped = min(k * TICK_S, total_time)
+        while phase_idx + 1 < len(phases) and clamped > phases[phase_idx].t_end + 1e-12:
+            phase_idx += 1
+        poses.append(_pose_in_phase(phases[phase_idx], clamped))
+    return poses
+
+
+def _scan_ranges(plan: FloorPlan, poses: Sequence[Pose2]) -> np.ndarray:
+    """The noise-free ranges of a scan from each pose, one row per pose."""
+    origins = np.array([(p.x, p.y) for p in poses], dtype=float).reshape(-1, 2)
+    angles = np.array([p.theta for p in poses], dtype=float)[:, None] + _BEAM_ANGLES
+    return np.concatenate([
+        raycast(origins[i : i + _RAYCAST_BATCH], angles[i : i + _RAYCAST_BATCH],
+                plan.walls, SCAN_MAX_RANGE_M)
+        for i in range(0, len(poses), _RAYCAST_BATCH)
+    ])
+
+
+def _sweep_rss(plan: FloorPlan, poses: Sequence[Pose2]) -> np.ndarray:
+    """The noise-free RSS of every access point at each pose, one row per
+    pose and one column per access point, in plan order."""
+    receivers = [(p.x, p.y) for p in poses]
+    crossings = count_wall_crossings(
+        [ap.position for ap in plan.aps], np.array(receivers, dtype=float), plan.walls
+    )
+    return np.array([
+        [predicted_rss(ap, receiver, n) for ap, n in zip(plan.aps, row)]
+        for receiver, row in zip(receivers, crossings.tolist())
+    ], dtype=float).reshape(len(poses), len(plan.aps))
+
+
+def _sign_attempts(plan: FloorPlan, poses: Sequence[Pose2]) -> dict[int, list[Sign]]:
+    """The signs the agent tries to read at each tick, in plan order.
+
+    A sign is tried from within TEXT_DETECTION_RANGE_M, inside the cone it
+    faces, and TEXT_ATTEMPT_COOLDOWN_S after its previous try at the
+    earliest. The range bounds |dx| and |dy| alike, so a box test over all
+    ticks in arrays, with a margin for rounding, keeps every tick that can
+    be in range; the exact tests run on those ticks alone.
+    """
+    xs = np.array([p.x for p in poses], dtype=float)
+    ys = np.array([p.y for p in poses], dtype=float)
+    box = TEXT_DETECTION_RANGE_M + 1e-6
+    cos_half = math.cos(TEXT_DETECTION_HALF_ANGLE_RAD)
+    attempts: dict[int, list[Sign]] = {}
+    for sign in plan.signs:
+        sx, sy = sign.position
+        fx, fy = math.cos(sign.facing_rad), math.sin(sign.facing_rad)
+        near = np.flatnonzero((np.abs(xs - sx) <= box) & (np.abs(ys - sy) <= box))
+        prev = None
+        for k in near.tolist():
+            ddx = poses[k].x - sx
+            ddy = poses[k].y - sy
+            dist = math.hypot(ddx, ddy)
+            if dist > TEXT_DETECTION_RANGE_M:
+                continue
+            if dist > 1e-9 and (fx * ddx + fy * ddy) / dist < cos_half:
+                continue
+            t = k * TICK_S
+            if prev is not None and t - prev < TEXT_ATTEMPT_COOLDOWN_S - 1e-9:
+                continue
+            prev = t
+            attempts.setdefault(k, []).append(sign)
+    return attempts
+
+
 def simulate_recording(plan: FloorPlan, script: AgentScript) -> Recording:
     """Run one agent through the plan and record every sensor channel.
 
@@ -257,83 +347,76 @@ def simulate_recording(plan: FloorPlan, script: AgentScript) -> Recording:
         if not (xmin <= pos[0] <= xmax and ymin <= pos[1] <= ymax):
             raise ValueError(f"waypoint {pos} lies outside the floorplan")
 
-    rng = np.random.default_rng(script.seed)
-    phases = _build_phases(script)
-    total_time = phases[-1].t_end
-    n_ticks = max(1, math.ceil(total_time / TICK_S - 1e-9))
+    # Pass 1: the truth trajectory, and each tick's true step in the body
+    # frame of the tick before, with the step's length.
+    poses = _truth_poses(script)
+    times = [k * TICK_S for k in range(len(poses))]
+    steps = []
+    for a, b in zip(poses, poses[1:]):
+        step = relative_pose(a, b)
+        steps.append((step.x, step.y, step.theta, math.hypot(step.x, step.y)))
+    step_x, step_y, step_theta, dist = np.array(steps, dtype=float).reshape(-1, 4).T
 
+    # Pass 2: the route's noise-free geometry.
+    ranges = _scan_ranges(plan, poses[::_SCAN_EVERY])
+    hit = np.isfinite(ranges)
+    n_hits = np.count_nonzero(hit, axis=1).tolist()
+    rss = _sweep_rss(plan, poses[::_WIFI_EVERY])
+    attempts = _sign_attempts(plan, poses)
+
+    # Pass 3: the noise, drawn in the generator's per-tick order: a tick's
+    # odometry step, its scan, its WiFi sweep, then its sign attempts in
+    # plan order. A scan's noise is added as it is drawn; the odometry and
+    # WiFi noise is added after the pass, in arrays.
     noise = script.noise
-    rec = Recording(agent_id=script.agent_id)
-    ap_positions = [ap.position for ap in plan.aps]
-    cos_half = math.cos(TEXT_DETECTION_HALF_ANGLE_RAD)
-    last_attempt: dict[str, float] = {}
-
-    phase_idx = 0
-    prev_pose: Optional[Pose2] = None
-    for k in range(n_ticks + 1):
-        t = k * TICK_S
-        clamped = min(t, total_time)
-        while phase_idx + 1 < len(phases) and clamped > phases[phase_idx].t_end + 1e-12:
-            phase_idx += 1
-        pose = _pose_in_phase(phases[phase_idx], clamped)
-        rec.truth.append(TruthSample(t, pose))
-
-        if prev_pose is not None:
-            step = relative_pose(prev_pose, pose)
-            dist = math.hypot(step.x, step.y)
-            dx = step.x + float(rng.standard_normal()) * noise.odom_sigma_trans_per_m * dist
-            dy = step.y + float(rng.standard_normal()) * noise.odom_sigma_trans_per_m * dist
-            dtheta = (
-                step.theta
-                + float(rng.standard_normal()) * noise.odom_sigma_rot_per_rad * abs(step.theta)
-                + noise.heading_drift_rad_per_m * dist
-            )
-            rec.odometry.append(OdometryStep(t, dx, dy, dtheta))
-        prev_pose = pose
-
+    rng = np.random.default_rng(script.seed)
+    odometry_noise = np.empty((len(poses) - 1, 3))
+    wifi_noise = np.empty(rss.shape)
+    texts: list[TextObservation] = []
+    for k, t in enumerate(times):
+        if k:
+            odometry_noise[k - 1] = rng.standard_normal(3)
         if k % _SCAN_EVERY == 0:
-            world_angles = pose.theta + _BEAM_ANGLES
-            ranges = raycast((pose.x, pose.y), world_angles, plan.walls, SCAN_MAX_RANGE_M)
-            hit = np.isfinite(ranges)
-            n_hit = int(hit.sum())
-            ranges[hit] += rng.standard_normal(n_hit) * noise.scan_sigma_m
-            rec.scans.append(ScanEvent(t, script.agent_id, ranges))
-
+            scan = k // _SCAN_EVERY
+            ranges[scan, hit[scan]] += rng.standard_normal(n_hits[scan]) * noise.scan_sigma_m
         if k % _WIFI_EVERY == 0:
-            receiver = (pose.x, pose.y)
-            crossings = count_wall_crossings(ap_positions, receiver, plan.walls)
-            readings = []
-            for ap, walls_crossed in zip(plan.aps, crossings.tolist()):
-                sigma = math.hypot(ap.noise_sigma_db, noise.wifi_sigma_db)
-                rss = predicted_rss(ap, receiver, walls_crossed)
-                rss += float(rng.standard_normal()) * sigma
-                if rss >= WIFI_SENSITIVITY_DBM:
-                    readings.append((ap.mac, rss))
-            rec.wifi.append(WifiScan(t, script.agent_id, tuple(readings)))
-
-        for sign in plan.signs:
-            ddx = pose.x - sign.position[0]
-            ddy = pose.y - sign.position[1]
-            dist = math.hypot(ddx, ddy)
-            if dist > TEXT_DETECTION_RANGE_M:
-                continue
-            if dist > 1e-9:
-                facing = (math.cos(sign.facing_rad), math.sin(sign.facing_rad))
-                if (facing[0] * ddx + facing[1] * ddy) / dist < cos_half:
-                    continue
-            prev = last_attempt.get(sign.sign_id)
-            if prev is not None and t - prev < TEXT_ATTEMPT_COOLDOWN_S - 1e-9:
-                continue
-            last_attempt[sign.sign_id] = t
+            wifi_noise[k // _WIFI_EVERY] = rng.standard_normal(len(plan.aps))
+        for sign in attempts.get(k, ()):
             if float(rng.random()) < script.text_detection_prob:
                 text = corrupt_text(
                     sign.text, noise.ocr_p_sub, noise.ocr_p_del, noise.ocr_p_ins, rng
                 )
                 if text:
-                    rec.texts.append(
-                        TextObservation(t, script.agent_id, text, sign.sign_id)
-                    )
-    return rec
+                    texts.append(TextObservation(t, script.agent_id, text, sign.sign_id))
+
+    truth = [TruthSample(t, pose) for t, pose in zip(times, poses)]
+    dx = step_x + odometry_noise[:, 0] * noise.odom_sigma_trans_per_m * dist
+    dy = step_y + odometry_noise[:, 1] * noise.odom_sigma_trans_per_m * dist
+    dtheta = (
+        step_theta
+        + odometry_noise[:, 2] * noise.odom_sigma_rot_per_rad * np.abs(step_theta)
+        + noise.heading_drift_rad_per_m * dist
+    )
+    odometry = [
+        OdometryStep(*row) for row in zip(times[1:], dx.tolist(), dy.tolist(), dtheta.tolist())
+    ]
+    scans = [
+        ScanEvent(t, script.agent_id, row) for t, row in zip(times[::_SCAN_EVERY], ranges)
+    ]
+    sigmas = np.array(
+        [math.hypot(ap.noise_sigma_db, noise.wifi_sigma_db) for ap in plan.aps], dtype=float
+    )
+    rss += wifi_noise * sigmas
+    macs = [ap.mac for ap in plan.aps]
+    wifi = [
+        WifiScan(
+            t,
+            script.agent_id,
+            tuple((mac, v) for mac, v in zip(macs, row) if v >= WIFI_SENSITIVITY_DBM),
+        )
+        for t, row in zip(times[::_WIFI_EVERY], rss.tolist())
+    ]
+    return Recording(script.agent_id, odometry, scans, texts, wifi, truth)
 
 
 def integrate_odometry(recording: Recording) -> list[tuple[float, Pose2]]:

@@ -4,8 +4,11 @@ A floorplan is a set of wall segments plus the things agents can sense:
 text signs and WiFi access points. The generator builds one
 corridor-and-rooms layout, fixed by the module constants below, with
 controlled text duplication; scenarios bundles a plan with agent routes for
-the named benchmark scenes. Raycasting and wall-crossing counts test every
-ray or access point against every wall in one array operation.
+the named benchmark scenes. Raycasting tests the rays of one origin or of
+several against every wall in one array operation; wall-crossing counts do
+the same for every access point and one receiver or several. Each ray and
+each (source, receiver) pair gets the same value however many share its
+call, so a simulator may batch them as it likes.
 """
 
 from __future__ import annotations
@@ -89,56 +92,75 @@ def _wall_arrays(walls: tuple[Wall, ...]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def raycast(
-    origin: Point,
+    origins: Point | np.ndarray,
     angles_rad: np.ndarray,
     walls: tuple[Wall, ...],
     max_range_m: float,
 ) -> np.ndarray:
-    """First-hit distances from origin along each angle, inf for misses.
+    """First-hit distances along each angle from its origin, inf for misses.
 
-    Vectorized ray/segment intersection over all (ray, wall) pairs.
+    origins is one point, shape (2,), with angles of shape (a,); or n
+    points, shape (n, 2), with one row of angles per origin, shape (n, a).
+    The result has the shape of angles_rad. Every (ray, wall) pair runs the
+    same ray/segment intersection, broadcast over all axes, so a ray's range
+    does not depend on which rays share its call.
     """
     starts, ends = _wall_arrays(walls)
-    seg = ends - starts                      # (w, 2)
-    rel = starts - np.asarray(origin, float)  # (w, 2)
-    d = np.stack([np.cos(angles_rad), np.sin(angles_rad)], axis=1)  # (a, 2)
+    seg = (ends - starts)[:, :, None]                                    # (w, 2, 1)
+    rel = starts[:, :, None] - np.asarray(origins, float)[..., None, :, None]  # (..., w, 2, 1)
+    angles = np.asarray(angles_rad, float)[..., None, :]                 # (..., 1, a)
+    dx, dy = np.cos(angles), np.sin(angles)
 
-    denom = d[:, 0:1] * seg[None, :, 1] - d[:, 1:2] * seg[None, :, 0]  # (a, w)
-    rel_cross_seg = rel[:, 0] * seg[:, 1] - rel[:, 1] * seg[:, 0]      # (w,)
-    rel_cross_d = rel[None, :, 0] * d[:, 1:2] - rel[None, :, 1] * d[:, 0:1]  # (a, w)
+    # Walls run along the second-to-last axis, so the nearest hit is an
+    # elementwise minimum over w rows of rays. Each a*b - c*d is taken as
+    # a*b, then -= c*d in place, which rounds exactly as the expression does.
+    denom = dx * seg[:, 1]
+    denom -= dy * seg[:, 0]                                      # (..., w, a)
+    rel_cross_seg = rel[..., 0, :] * seg[:, 1] - rel[..., 1, :] * seg[:, 0]  # (..., w, 1)
+    u = rel[..., 0, :] * dy
+    u -= rel[..., 1, :] * dx                                     # (..., w, a)
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = rel_cross_seg[None, :] / denom
-        u = rel_cross_d / denom
-    valid = (np.abs(denom) > 1e-12) & (t > 1e-9) & (u >= -1e-12) & (u <= 1.0 + 1e-12)
-    t = np.where(valid, t, np.inf)
-    hits = t.min(axis=1)
+        t = rel_cross_seg / denom
+        u /= denom
+    valid = np.abs(denom, out=denom) > 1e-12
+    valid &= t > 1e-9
+    valid &= u >= -1e-12
+    valid &= u <= 1.0 + 1e-12
+    hits = t.min(axis=-2, initial=np.inf, where=valid)
     return np.where(hits <= max_range_m, hits, np.inf)
 
 
 def count_wall_crossings(
-    sources: Sequence[Point], b: Point, walls: tuple[Wall, ...]
+    sources: Sequence[Point], receivers: Point | np.ndarray, walls: tuple[Wall, ...]
 ) -> np.ndarray:
-    """Walls the open segment from each source to b passes through.
+    """Walls the open segment from each source to each receiver passes through.
 
-    One integer count per source, in source order. Every (source, wall)
-    pair runs the same orientation tests, broadcast over both axes.
+    receivers is one point, shape (2,), giving one integer count per source
+    in source order; or m points, shape (m, 2), giving an (m, s) array, a
+    row per receiver. Every (receiver, source, wall) triple runs the same
+    orientation tests, broadcast over all axes.
     """
     starts, ends = _wall_arrays(walls)  # (w, 2)
     pa = np.asarray(sources, float).reshape(-1, 1, 2)  # (s, 1, 2)
-    pb = np.asarray(b, float)
-    ab = pb - pa
+    pb = np.asarray(receivers, float)[..., None, None, :]  # (..., 1, 1, 2)
+    ab = pb - pa  # (..., s, 1, 2)
 
     def cross(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return v[..., 0] * w[..., 1] - v[..., 1] * w[..., 0]
+        # v x w as v0*w1, then -= v1*w0 in place, which rounds exactly as
+        # v0*w1 - v1*w0 does and keeps one full-size temporary.
+        out = v[..., 0] * w[..., 1]
+        out -= v[..., 1] * w[..., 0]
+        return out
 
-    d1 = cross(ab, starts - pa)  # (s, w)
-    d2 = cross(ab, ends - pa)
     seg = ends - starts
-    d3 = cross(seg, pa - starts)
-    d4 = cross(seg, pb - starts)  # (w,)
-    crossing = (d1 * d2 < 0.0) & (d3 * d4 < 0.0)
-    return np.count_nonzero(crossing, axis=1)
+    d3 = cross(seg, pa - starts)  # (s, w)
+    d4 = cross(seg, pb - starts)  # (..., 1, w)
+    d1 = cross(ab, starts - pa)  # (..., s, w)
+    d1 *= cross(ab, ends - pa)
+    crossing = d1 < 0.0
+    crossing &= np.multiply(d3, d4, out=d1) < 0.0
+    return np.count_nonzero(crossing, axis=-1)
 
 
 # The one building the scenes use: ROOM_COUNT rooms in a row along the north

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,6 @@ import pytest
 from textwifi_slam import io_formats
 from textwifi_slam.geometry import PointCloud2, Pose2
 from textwifi_slam.io_formats import (
-    candidate_from_dict,
     load_floorplan,
     load_match_report,
     load_merged_map,
@@ -355,7 +355,7 @@ class TestMatchReport:
         save_match_report(path, [self.C_INF], [], {})
         row = json.loads(path.read_text())["candidates"][0]
         assert row["rss_distance_db"] is None
-        back = candidate_from_dict(row)
+        (back,) = load_match_report(path)
         assert back == self.C_INF
         assert math.isinf(back.wifi_score.rss_distance_db)
 
@@ -431,6 +431,25 @@ class TestMatchReport:
         with pytest.raises(ValueError, match="not JSON compliant"):
             save_match_report(path, [self.C_FINITE, cand], [], {})
         assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "spoil, message",
+        [
+            (lambda row: row.pop("verdict"), "candidate 1: missing field 'verdict'"),
+            (lambda row: row.update(verdict="maybe"), "candidate 1: unknown verdict 'maybe'"),
+            (lambda row: row.update(a=["a0"]), "candidate 1: a node key is an agent and a keyframe id"),
+            (lambda row: row.update(b=None), "candidate 1: a node key is an agent and a keyframe id"),
+        ],
+        ids=["missing-field", "unknown-verdict", "short-node-key", "null-node-key"],
+    )
+    def test_a_malformed_row_is_named_by_file_and_index(self, tmp_path, spoil, message):
+        path = tmp_path / "match_report.json"
+        save_match_report(path, [self.C_FINITE, self.C_INF], [], {})
+        document = json.loads(path.read_text())
+        spoil(document["candidates"][1])
+        path.write_text(json.dumps(document))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}"):
+            load_match_report(path)
 
     def test_report_round_trip(self, tmp_path):
         path = tmp_path / "match_report.json"

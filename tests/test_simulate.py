@@ -1,19 +1,38 @@
 """Simulator behaviour: determinism, noise models, sensor cadence."""
 
 import math
+from typing import Optional
 
+import numpy as np
 import pytest
 
+from textwifi_slam.geometry import Pose2, relative_pose
+from textwifi_slam.scenarios import scripted_scenario
 from textwifi_slam.simulate import (
+    _BEAM_ANGLES,
+    _SCAN_EVERY,
+    _WIFI_EVERY,
+    SCAN_MAX_RANGE_M,
+    TEXT_ATTEMPT_COOLDOWN_S,
+    TEXT_DETECTION_HALF_ANGLE_RAD,
+    TEXT_DETECTION_RANGE_M,
     TICK_S,
+    WIFI_SENSITIVITY_DBM,
     AgentScript,
     NoiseModel,
+    OdometryStep,
     Recording,
+    ScanEvent,
+    TruthSample,
+    _build_phases,
+    _pose_in_phase,
     integrate_odometry,
     nearest_index,
     simulate_recording,
 )
-from textwifi_slam.world import generate_floorplan
+from textwifi_slam.text_matching import TextObservation, corrupt_text
+from textwifi_slam.wifi import WifiScan, predicted_rss
+from textwifi_slam.world import FloorPlan, count_wall_crossings, generate_floorplan, raycast
 
 OUT_AND_BACK = (
     ((1.5, 1.5), 0.0),
@@ -156,3 +175,141 @@ def test_hold_time_must_be_non_negative(small_plan):
     bad = script(waypoints=(((1.5, 1.5), -1.0), ((2.5, 1.5), 0.0)))
     with pytest.raises(ValueError):
         simulate_recording(small_plan, bad)
+
+
+def per_tick_recording(plan: FloorPlan, script: AgentScript) -> Recording:
+    """Reference: the simulator as one loop over the ticks, each tick
+    computing its truth, geometry and noise before the next begins."""
+    rng = np.random.default_rng(script.seed)
+    phases = _build_phases(script)
+    total_time = phases[-1].t_end
+    n_ticks = max(1, math.ceil(total_time / TICK_S - 1e-9))
+
+    noise = script.noise
+    rec = Recording(agent_id=script.agent_id)
+    ap_positions = [ap.position for ap in plan.aps]
+    cos_half = math.cos(TEXT_DETECTION_HALF_ANGLE_RAD)
+    last_attempt: dict[str, float] = {}
+
+    phase_idx = 0
+    prev_pose: Optional[Pose2] = None
+    for k in range(n_ticks + 1):
+        t = k * TICK_S
+        clamped = min(t, total_time)
+        while phase_idx + 1 < len(phases) and clamped > phases[phase_idx].t_end + 1e-12:
+            phase_idx += 1
+        pose = _pose_in_phase(phases[phase_idx], clamped)
+        rec.truth.append(TruthSample(t, pose))
+
+        if prev_pose is not None:
+            step = relative_pose(prev_pose, pose)
+            dist = math.hypot(step.x, step.y)
+            dx = step.x + float(rng.standard_normal()) * noise.odom_sigma_trans_per_m * dist
+            dy = step.y + float(rng.standard_normal()) * noise.odom_sigma_trans_per_m * dist
+            dtheta = (
+                step.theta
+                + float(rng.standard_normal()) * noise.odom_sigma_rot_per_rad * abs(step.theta)
+                + noise.heading_drift_rad_per_m * dist
+            )
+            rec.odometry.append(OdometryStep(t, dx, dy, dtheta))
+        prev_pose = pose
+
+        if k % _SCAN_EVERY == 0:
+            world_angles = pose.theta + _BEAM_ANGLES
+            ranges = raycast((pose.x, pose.y), world_angles, plan.walls, SCAN_MAX_RANGE_M)
+            hit = np.isfinite(ranges)
+            n_hit = int(hit.sum())
+            ranges[hit] += rng.standard_normal(n_hit) * noise.scan_sigma_m
+            rec.scans.append(ScanEvent(t, script.agent_id, ranges))
+
+        if k % _WIFI_EVERY == 0:
+            receiver = (pose.x, pose.y)
+            crossings = count_wall_crossings(ap_positions, receiver, plan.walls)
+            readings = []
+            for ap, walls_crossed in zip(plan.aps, crossings.tolist()):
+                sigma = math.hypot(ap.noise_sigma_db, noise.wifi_sigma_db)
+                rss = predicted_rss(ap, receiver, walls_crossed)
+                rss += float(rng.standard_normal()) * sigma
+                if rss >= WIFI_SENSITIVITY_DBM:
+                    readings.append((ap.mac, rss))
+            rec.wifi.append(WifiScan(t, script.agent_id, tuple(readings)))
+
+        for sign in plan.signs:
+            ddx = pose.x - sign.position[0]
+            ddy = pose.y - sign.position[1]
+            dist = math.hypot(ddx, ddy)
+            if dist > TEXT_DETECTION_RANGE_M:
+                continue
+            if dist > 1e-9:
+                facing = (math.cos(sign.facing_rad), math.sin(sign.facing_rad))
+                if (facing[0] * ddx + facing[1] * ddy) / dist < cos_half:
+                    continue
+            prev = last_attempt.get(sign.sign_id)
+            if prev is not None and t - prev < TEXT_ATTEMPT_COOLDOWN_S - 1e-9:
+                continue
+            last_attempt[sign.sign_id] = t
+            if float(rng.random()) < script.text_detection_prob:
+                text = corrupt_text(
+                    sign.text, noise.ocr_p_sub, noise.ocr_p_del, noise.ocr_p_ins, rng
+                )
+                if text:
+                    rec.texts.append(
+                        TextObservation(t, script.agent_id, text, sign.sign_id)
+                    )
+    return rec
+
+
+def assert_recordings_identical(got: Recording, want: Recording) -> None:
+    """Every value equal: ranges by np.array_equal, every float by ==.
+
+    Dataclass == compares floats by ==, which also takes -0.0 for 0.0;
+    the recordings are written with repr, so signs of zero are compared
+    too."""
+    assert got.agent_id == want.agent_id
+    assert got.truth == want.truth
+    assert got.odometry == want.odometry
+    assert got.wifi == want.wifi
+    assert got.texts == want.texts
+    assert len(got.scans) == len(want.scans)
+    for a, b in zip(got.scans, want.scans):
+        assert (a.timestamp, a.frame_id) == (b.timestamp, b.frame_id)
+        assert np.array_equal(a.ranges, b.ranges)
+        assert np.array_equal(np.signbit(a.ranges), np.signbit(b.ranges))
+    for channel in ("odometry", "wifi"):
+        assert repr(getattr(got, channel)) == repr(getattr(want, channel))
+
+
+@pytest.mark.parametrize("scene", ["scene01", "scene02"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_recordings_equal_the_per_tick_reference(scene, seed):
+    plan, scripts = scripted_scenario(scene, seed, duplicate_text_count=3, zero_noise=False)
+    for s in scripts:
+        assert_recordings_identical(simulate_recording(plan, s), per_tick_recording(plan, s))
+
+
+@pytest.mark.parametrize(
+    "duplicate_text_count, zero_noise", [(3, True), (0, False)], ids=["zero-noise", "no-duplicates"]
+)
+def test_recordings_equal_the_per_tick_reference_in_other_settings(
+    duplicate_text_count, zero_noise
+):
+    plan, scripts = scripted_scenario(
+        "scene02", 0, duplicate_text_count=duplicate_text_count, zero_noise=zero_noise
+    )
+    for s in scripts:
+        assert_recordings_identical(simulate_recording(plan, s), per_tick_recording(plan, s))
+
+
+def test_a_plan_with_no_access_points_or_signs_equals_the_reference():
+    walls = (
+        ((0.0, 0.0), (6.0, 0.0)),
+        ((6.0, 0.0), (6.0, 3.0)),
+        ((6.0, 3.0), (0.0, 3.0)),
+        ((0.0, 3.0), (0.0, 0.0)),
+    )
+    plan = FloorPlan(walls, (), ())
+    route = script(waypoints=(((1.0, 1.5), 1.0), ((5.0, 1.5), 0.0), ((1.0, 1.0), 0.5)))
+    rec = simulate_recording(plan, route)
+    assert rec.scans and rec.wifi and not rec.texts
+    assert all(sweep.readings == () for sweep in rec.wifi)
+    assert_recordings_identical(rec, per_tick_recording(plan, route))

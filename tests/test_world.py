@@ -48,6 +48,41 @@ def test_raycast_miss_is_inf():
     assert hits[1] == pytest.approx(1.0, abs=1e-12)
 
 
+def _raycast_one_origin(origin, angles_rad, walls, max_range_m):
+    """Reference: one origin's rays against every wall as an (a, w) array."""
+    starts = np.array([w[0] for w in walls], dtype=float)
+    ends = np.array([w[1] for w in walls], dtype=float)
+    seg = ends - starts
+    rel = starts - np.asarray(origin, float)
+    d = np.stack([np.cos(angles_rad), np.sin(angles_rad)], axis=1)
+    denom = d[:, 0:1] * seg[None, :, 1] - d[:, 1:2] * seg[None, :, 0]
+    rel_cross_seg = rel[:, 0] * seg[:, 1] - rel[:, 1] * seg[:, 0]
+    rel_cross_d = rel[None, :, 0] * d[:, 1:2] - rel[None, :, 1] * d[:, 0:1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = rel_cross_seg[None, :] / denom
+        u = rel_cross_d / denom
+    valid = (np.abs(denom) > 1e-12) & (t > 1e-9) & (u >= -1e-12) & (u <= 1.0 + 1e-12)
+    hits = np.where(valid, t, np.inf).min(axis=1)
+    return np.where(hits <= max_range_m, hits, np.inf)
+
+
+def test_raycast_over_several_origins_equals_one_call_per_origin():
+    walls = generate_floorplan(3, seed=0).walls
+    rng = np.random.default_rng(7)
+    origins = np.column_stack([rng.uniform(0.1, 23.9, 9), rng.uniform(0.1, 7.9, 9)])
+    origins[0] = (3.0, 3.0)  # on the line of the corridor wall, in a doorway
+    angles = rng.uniform(-math.pi, math.pi, (9, 1)) + np.radians(np.arange(360.0))
+    # A 6 m range leaves some rays with no return.
+    batched = raycast(origins, angles, walls, 6.0)
+    assert batched.shape == (9, 360)
+    assert np.isinf(batched).any() and np.isfinite(batched).any()
+    for origin, row, got in zip(origins, angles, batched):
+        assert np.array_equal(got, raycast(tuple(origin), row, walls, 6.0))
+        assert np.array_equal(got, _raycast_one_origin(origin, row, walls, 6.0))
+    for size in (1, 4):
+        assert np.array_equal(raycast(origins[:size], angles[:size], walls, 6.0), batched[:size])
+
+
 def test_wall_crossing_counts():
     assert count_wall_crossings([(2.0, 2.0)], (3.0, 3.0), SQUARE).tolist() == [0]
     sources = [(2.0, 2.0), (-1.0, 2.0), (5.0, 2.0)]
@@ -88,6 +123,32 @@ points = st.tuples(coordinates, coordinates)
 def test_batched_crossings_equal_the_per_segment_reference(sources, receiver, walls):
     counts = count_wall_crossings(sources, receiver, tuple(walls))
     assert counts.tolist() == _crossings_one_by_one(sources, receiver, walls)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sources=st.lists(points, max_size=8),
+    receivers=st.lists(points, min_size=1, max_size=6),
+    walls=st.lists(st.tuples(points, points), min_size=1, max_size=12),
+)
+def test_crossings_to_several_receivers_equal_the_per_receiver_counts(sources, receivers, walls):
+    walls = tuple(walls)
+    counts = count_wall_crossings(sources, np.array(receivers), walls)
+    assert counts.shape == (len(receivers), len(sources))
+    for receiver, row in zip(receivers, counts.tolist()):
+        assert row == count_wall_crossings(sources, receiver, walls).tolist()
+        assert row == _crossings_one_by_one(sources, receiver, walls)
+
+
+def test_crossings_to_receivers_on_a_wall_line_and_from_no_sources():
+    # (4, 2) lies on the east wall and (2, 0) on the south wall; (0, 0) is a
+    # corner. A segment that ends on a wall does not cross it.
+    receivers = np.array([(4.0, 2.0), (6.0, 2.0), (2.0, 0.0), (0.0, 0.0), (2.0, -1.0)])
+    sources = [(2.0, 2.0), (-1.0, 2.0)]
+    counts = count_wall_crossings(sources, receivers, SQUARE)
+    assert counts.tolist() == [[0, 1], [1, 2], [0, 1], [0, 0], [1, 2]]
+    assert counts.tolist() == [_crossings_one_by_one(sources, r, SQUARE) for r in receivers]
+    assert count_wall_crossings([], receivers, SQUARE).shape == (5, 0)
 
 
 def test_wall_arrays_are_built_once_per_walls_and_read_only():
