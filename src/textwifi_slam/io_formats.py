@@ -124,7 +124,12 @@ def save_floorplan(path: PathLike, plan: FloorPlan) -> None:
 
 
 def load_floorplan(path: PathLike) -> FloorPlan:
-    return floorplan_from_dict(load_json(path))
+    """The plan; a missing field raises ValueError naming the file and the field."""
+    data = load_json(path)
+    try:
+        return floorplan_from_dict(data)
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing field {exc}") from None
 
 
 # ---------------------------------------------------------------- recording
@@ -432,9 +437,14 @@ def save_trajectories(
 
 
 def load_trajectories(path: PathLike) -> tuple[dict[NodeKey, Pose2], dict[NodeKey, Pose2], dict]:
+    """The initial and optimized poses and the extras; a missing field raises
+    ValueError naming the file and the field."""
     data = load_json(path)
-    initial = poses_from_list(data["initial"])
-    optimized = poses_from_list(data["optimized"])
+    try:
+        initial = poses_from_list(data["initial"])
+        optimized = poses_from_list(data["optimized"])
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing field {exc}") from None
     extras = {k: v for k, v in data.items() if k not in ("initial", "optimized")}
     return initial, optimized, extras
 

@@ -9,10 +9,12 @@ all candidate pairs as one batch: the WiFi scores come from one keyframe ×
 MAC matrix (wifi.wifi_scores), and the edit-distance DP runs once per
 distinct text pair (text_matching.text_similarities), so a few sign texts
 recurring across many keyframes cost little. The batch equals the per-pair
-rule (text_similarity, is_wifi_match, wifi_verdict) to the last bit, and
-decide_match is a batch of one. An agent's consecutive reads of one sign
-form a visit (group_visits); the align stage registers the matches of one
-pair of visits together.
+rule (text_similarity, the one-pair WiFi scores the tests keep as the
+reference, then wifi_verdict) to the last bit, and decide_match is a batch
+of one. wifi_verdict is the one WiFi gate rule: matching, evaluation and
+wifi.is_wifi_match all decide by it. An agent's consecutive reads of one
+sign form a visit (group_visits); the align stage registers the matches of
+one pair of visits together.
 """
 
 from __future__ import annotations

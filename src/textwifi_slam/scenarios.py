@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .simulate import TEXT_DETECTION_PROB, AgentScript, NoiseModel
+from .simulate import AgentScript
 from .world import FloorPlan, generate_floorplan, room_center_x
 
 # Tuned so the odometry-only baseline accumulates more than a metre of
@@ -30,25 +30,19 @@ def scenario_names() -> tuple[str, ...]:
     return ("scene01", "scene02")
 
 
-def _noise_for(index: int, zero_noise: bool) -> NoiseModel:
-    if zero_noise:
-        return NoiseModel.zero()
-    drift = HEADING_DRIFT_RAD_PER_M * (1.0 if index % 2 == 0 else -1.0)
-    return NoiseModel(heading_drift_rad_per_m=drift)
-
-
 def _agent(
     index: int,
     waypoints: list[tuple[tuple[float, float], float]],
     seed: int,
     zero_noise: bool,
 ) -> AgentScript:
+    drift = HEADING_DRIFT_RAD_PER_M * (1.0 if index % 2 == 0 else -1.0)
     return AgentScript(
         agent_id=f"a{index}",
         waypoints=tuple(waypoints),
-        noise=_noise_for(index, zero_noise),
         seed=seed * 1000 + index,
-        text_detection_prob=1.0 if zero_noise else TEXT_DETECTION_PROB,
+        noisy=not zero_noise,
+        heading_drift_rad_per_m=0.0 if zero_noise else drift,
     )
 
 

@@ -18,6 +18,9 @@ equals, bit for bit, the one a single loop over the ticks gives
 only the elementwise arithmetic and comparisons that loop did, and the
 hypot, log10, cosine and sine it took in scalar math are still taken so.
 
+The noise magnitudes are module constants shared by every agent; a script
+switches them on or off (AgentScript.noisy) and sets its heading drift.
+
 A scan is recorded as a planar laser scanner reports it (as in a ROS
 sensor_msgs/LaserScan): one range per beam at fixed angles, inf where the
 beam got no return. Its point cloud is derived from the ranges by
@@ -67,46 +70,38 @@ TEXT_ATTEMPT_COOLDOWN_S = 2.0
 # The odds that one attempt at a sign in view yields a reading.
 TEXT_DETECTION_PROB = 0.9
 
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Noise magnitudes for one agent.
-
-    Odometry translation noise scales with the distance moved per step,
-    rotation noise with the turn magnitude; heading_drift_rad_per_m is a
-    constant bias that accumulates with travelled distance and is the main
-    source of endpoint error over long runs.
-    """
-
-    odom_sigma_trans_per_m: float = 0.01
-    odom_sigma_rot_per_rad: float = 0.02
-    heading_drift_rad_per_m: float = 0.0
-    scan_sigma_m: float = 0.01
-    wifi_sigma_db: float = 1.5
-    ocr_p_sub: float = 0.02
-    ocr_p_del: float = 0.005
-    ocr_p_ins: float = 0.005
-
-    @staticmethod
-    def zero() -> "NoiseModel":
-        return NoiseModel(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+# The sensor noise of a noisy agent. Odometry translation noise scales with
+# the distance moved per step, rotation noise with the turn magnitude; an
+# RSS reading's sigma combines WIFI_SIGMA_DB with its access point's own;
+# OCR odds are per character.
+ODOM_SIGMA_TRANS_PER_M = 0.01
+ODOM_SIGMA_ROT_PER_RAD = 0.02
+SCAN_SIGMA_M = 0.01
+WIFI_SIGMA_DB = 1.5
+OCR_P_SUB = 0.02
+OCR_P_DEL = 0.005
+OCR_P_INS = 0.005
 
 
 @dataclass(frozen=True)
 class AgentScript:
-    """Route, noise and sign-reading odds for one simulated agent."""
+    """Route, seed and noise switch for one simulated agent.
+
+    noisy=False scales every noise term by 0.0, with the same draws, and
+    reads every sign tried. heading_drift_rad_per_m, a constant heading
+    bias per metre travelled, is the main source of endpoint error over
+    long runs; noisy leaves it as set.
+    """
 
     agent_id: str
     waypoints: tuple[tuple[tuple[float, float], float], ...]  # ((x, y), hold_s)
-    noise: NoiseModel = field(default_factory=NoiseModel)
     seed: int = 0
-    text_detection_prob: float = TEXT_DETECTION_PROB
+    noisy: bool = True
+    heading_drift_rad_per_m: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.waypoints:
             raise ValueError("a script needs at least one waypoint")
-        if not 0.0 <= self.text_detection_prob <= 1.0:
-            raise ValueError("detection probability must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -186,12 +181,9 @@ class Recording:
     wifi: list[WifiScan] = field(default_factory=list)
     truth: list[TruthSample] = field(default_factory=list)
 
-    def truth_at(self, timestamp: float) -> Pose2:
-        """Ground-truth pose at the truth sample nearest to timestamp."""
-        return self.truths_at([timestamp])[0]
-
     def truths_at(self, timestamps: Iterable[float]) -> list[Pose2]:
-        """truth_at of every timestamp, listing the truth sample times once."""
+        """The ground-truth pose at the truth sample nearest to each
+        timestamp; see nearest_index."""
         if not self.truth:
             raise ValueError("recording has no truth samples")
         times = [s.timestamp for s in self.truth]
@@ -368,7 +360,8 @@ def simulate_recording(plan: FloorPlan, script: AgentScript) -> Recording:
     # odometry step, its scan, its WiFi sweep, then its sign attempts in
     # plan order. A scan's noise is added as it is drawn; the odometry and
     # WiFi noise is added after the pass, in arrays.
-    noise = script.noise
+    on = 1.0 if script.noisy else 0.0
+    detection_prob = TEXT_DETECTION_PROB if script.noisy else 1.0
     rng = np.random.default_rng(script.seed)
     odometry_noise = np.empty((len(poses) - 1, 3))
     wifi_noise = np.empty(rss.shape)
@@ -378,24 +371,24 @@ def simulate_recording(plan: FloorPlan, script: AgentScript) -> Recording:
             odometry_noise[k - 1] = rng.standard_normal(3)
         if k % _SCAN_EVERY == 0:
             scan = k // _SCAN_EVERY
-            ranges[scan, hit[scan]] += rng.standard_normal(n_hits[scan]) * noise.scan_sigma_m
+            ranges[scan, hit[scan]] += rng.standard_normal(n_hits[scan]) * (SCAN_SIGMA_M * on)
         if k % _WIFI_EVERY == 0:
             wifi_noise[k // _WIFI_EVERY] = rng.standard_normal(len(plan.aps))
         for sign in attempts.get(k, ()):
-            if float(rng.random()) < script.text_detection_prob:
+            if float(rng.random()) < detection_prob:
                 text = corrupt_text(
-                    sign.text, noise.ocr_p_sub, noise.ocr_p_del, noise.ocr_p_ins, rng
+                    sign.text, OCR_P_SUB * on, OCR_P_DEL * on, OCR_P_INS * on, rng
                 )
                 if text:
                     texts.append(TextObservation(t, script.agent_id, text, sign.sign_id))
 
     truth = [TruthSample(t, pose) for t, pose in zip(times, poses)]
-    dx = step_x + odometry_noise[:, 0] * noise.odom_sigma_trans_per_m * dist
-    dy = step_y + odometry_noise[:, 1] * noise.odom_sigma_trans_per_m * dist
+    dx = step_x + odometry_noise[:, 0] * (ODOM_SIGMA_TRANS_PER_M * on) * dist
+    dy = step_y + odometry_noise[:, 1] * (ODOM_SIGMA_TRANS_PER_M * on) * dist
     dtheta = (
         step_theta
-        + odometry_noise[:, 2] * noise.odom_sigma_rot_per_rad * np.abs(step_theta)
-        + noise.heading_drift_rad_per_m * dist
+        + odometry_noise[:, 2] * (ODOM_SIGMA_ROT_PER_RAD * on) * np.abs(step_theta)
+        + script.heading_drift_rad_per_m * dist
     )
     odometry = [
         OdometryStep(*row) for row in zip(times[1:], dx.tolist(), dy.tolist(), dtheta.tolist())
@@ -404,7 +397,7 @@ def simulate_recording(plan: FloorPlan, script: AgentScript) -> Recording:
         ScanEvent(t, script.agent_id, row) for t, row in zip(times[::_SCAN_EVERY], ranges)
     ]
     sigmas = np.array(
-        [math.hypot(ap.noise_sigma_db, noise.wifi_sigma_db) for ap in plan.aps], dtype=float
+        [math.hypot(ap.noise_sigma_db, WIFI_SIGMA_DB * on) for ap in plan.aps], dtype=float
     )
     rss += wifi_noise * sigmas
     macs = [ap.mac for ap in plan.aps]

@@ -4,9 +4,10 @@ comparison of two locations.
 A fingerprint is a map from access-point MAC to the mean RSS of the scans
 around a keyframe. Two fingerprints match when their MAC sets
 overlap enough (threshold beta) and the signal strengths on the shared MACs
-agree (threshold gamma on a normalized similarity). is_wifi_match scores one
-pair from the two MAC sets; wifi_scores scores many pairs at once from one
-fingerprint × MAC matrix, with the same result to the last bit.
+agree (threshold gamma on a normalized similarity). wifi_scores is the one
+scorer: it scores many pairs at once from one fingerprint × MAC matrix.
+mac_similarity, rss_distance and is_wifi_match are its batches of one, and
+place_recognition.wifi_verdict is the one gate rule.
 """
 
 from __future__ import annotations
@@ -148,49 +149,20 @@ def build_fingerprint(scans: Sequence[WifiScan], *, location_id: str) -> WifiFin
     return WifiFingerprint(location_id=location_id, entries=entries)
 
 
-def _mac_overlap(a: WifiFingerprint, b: WifiFingerprint, n_common: int) -> float:
-    larger = max(len(a.macs), len(b.macs))
-    if not larger:
-        log.debug("mac_similarity of two empty fingerprints, returning 0")
-        return 0.0
-    return n_common / larger
-
-
-def _rss_distance_on(a: WifiFingerprint, b: WifiFingerprint, common: frozenset[str]) -> float:
-    # A plain running sum in sorted MAC order, which wifi_scores repeats
-    # column by column; the builtin sum() compensates from Python 3.12 on.
-    total = 0.0
-    for mac in sorted(common):
-        total += (a.entries[mac] - b.entries[mac]) ** 2
-    return math.sqrt(total)
-
-
 def mac_similarity(a: WifiFingerprint, b: WifiFingerprint) -> float:
-    """Shared MAC count over the larger MAC count; 0 when both are empty."""
-    return _mac_overlap(a, b, len(a.macs & b.macs))
+    """Shared MAC count over the larger MAC count; 0 when both are empty.
+    wifi_scores' batch of one."""
+    return wifi_scores([a, b], [0], [1])[0].mac_similarity
 
 
 def rss_distance(a: WifiFingerprint, b: WifiFingerprint) -> float:
-    """Euclidean distance between the RSS vectors on the shared MACs."""
-    common = a.macs & b.macs
-    if not common:
+    """Euclidean distance between the RSS vectors on the shared MACs;
+    wifi_scores' batch of one."""
+    if a.macs.isdisjoint(b.macs):
         raise IncomparableFingerprints(
             f"fingerprints {a.location_id!r} and {b.location_id!r} share no access point"
         )
-    return _rss_distance_on(a, b, common)
-
-
-def rss_similarity(distance_db: float, n_common: int) -> float:
-    """Map an RSS distance to (0, 1], normalized by the shared MAC count.
-
-    exp(-d / (SIGMA_SCALE_DB * sqrt(n))) so the score is comparable across
-    pairs with different numbers of shared APs.
-    """
-    if distance_db < 0.0:
-        raise ValueError("RSS distance must be non-negative")
-    if n_common < 1:
-        raise ValueError("need at least one shared MAC")
-    return math.exp(-distance_db / (SIGMA_SCALE_DB * math.sqrt(n_common)))
+    return wifi_scores([a, b], [0], [1])[0].rss_distance_db
 
 
 def is_wifi_match(
@@ -201,19 +173,17 @@ def is_wifi_match(
 ) -> tuple[bool, WifiMatchScore]:
     """Two-stage WiFi gate: MAC overlap first, then RSS agreement.
 
+    wifi_scores' batch of one, judged by place_recognition.wifi_verdict.
     Returns the verdict and every score behind it; the RSS scores are
     computed even when the MAC gate fails, so they can be re-thresholded.
+    beta and gamma outside [0, 1] raise ValueError, as in Thresholds.
     """
-    for name, value in (("beta", beta), ("gamma", gamma)):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} must be in [0, 1], got {value}")
-    common = a.macs & b.macs
-    ms = _mac_overlap(a, b, len(common))
-    if not common:
-        return False, WifiMatchScore(ms, math.inf, 0.0)
-    d = _rss_distance_on(a, b, common)
-    sim = rss_similarity(d, len(common))
-    return ms >= beta and sim >= gamma, WifiMatchScore(ms, d, sim)
+    # place_recognition imports this module, so it is imported at call time.
+    from .place_recognition import Thresholds, Verdict, wifi_verdict
+
+    thresholds = Thresholds(alpha=0.0, beta=beta, gamma=gamma)
+    score = wifi_scores([a, b], [0], [1])[0]
+    return wifi_verdict(score, thresholds) is Verdict.ACCEPTED, score
 
 
 def wifi_scores(
@@ -221,14 +191,19 @@ def wifi_scores(
     first: Sequence[int],
     second: Sequence[int],
 ) -> list[WifiMatchScore]:
-    """is_wifi_match's scores of every pair (fingerprints[first[k]],
-    fingerprints[second[k]]), equal to them to the last bit.
+    """The WiFi scores of every pair (fingerprints[first[k]],
+    fingerprints[second[k]]): the MAC overlap, and the RSS distance and
+    similarity on the shared MACs, or inf and 0 when there are none.
 
-    The fingerprints become one matrix of RSS entries over the sorted union
-    of their MACs, with a mask of which entries exist. The squared RSS
-    differences are summed one MAC column at a time, in sorted MAC order,
-    adding 0.0 where the pair does not share the MAC, so each pair's sum
-    runs in the order of the per-pair one. The squares use np.float_power,
+    The similarity is exp(-d / (SIGMA_SCALE_DB * sqrt(n))) for n shared
+    MACs, so it is comparable across pairs with different numbers of shared
+    access points. The fingerprints become one matrix of RSS entries over
+    the sorted union of their MACs, with a mask of which entries exist. The
+    squared RSS differences are summed one MAC column at a time, in sorted
+    MAC order, adding 0.0 where the pair does not share the MAC, so each
+    pair's sum is a plain running sum over its shared MACs in sorted order
+    (the tests keep that one-pair rule as the reference; the builtin sum()
+    compensates from Python 3.12 on). The squares use np.float_power,
     which rounds as Python's ** does (np.power and d * d do not always),
     and the similarity keeps math.exp, which np.exp does not always equal.
     """

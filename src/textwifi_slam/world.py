@@ -13,7 +13,6 @@ call, so a simulator may batch them as it likes.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -81,13 +80,10 @@ class FloorPlan:
         return min(xs), min(ys), max(xs), max(ys)
 
 
-@functools.lru_cache(maxsize=8)
 def _wall_arrays(walls: tuple[Wall, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The walls' start and end points as read-only (w, 2) arrays, built
-    once per walls tuple: a simulation casts every scan against one plan."""
+    """The walls' start and end points as (w, 2) arrays."""
     starts = np.array([w[0] for w in walls], dtype=float)
     ends = np.array([w[1] for w in walls], dtype=float)
-    starts.flags.writeable = ends.flags.writeable = False
     return starts, ends
 
 

@@ -8,7 +8,7 @@ import pytest
 from textwifi_slam.geometry import PointCloud2, Pose2
 from textwifi_slam.place_recognition import Keyframe
 from textwifi_slam.text_matching import TextObservation
-from textwifi_slam.wifi import WifiFingerprint
+from textwifi_slam.wifi import SIGMA_SCALE_DB, WifiFingerprint, WifiMatchScore
 from textwifi_slam.world import generate_floorplan, raycast
 
 # A small, clearly asymmetric cloud for registration fixtures.
@@ -69,3 +69,26 @@ def make_keyframe(
         text_obs=TextObservation(timestamp, agent, text, sign_id),
         fingerprint=WifiFingerprint(f"{agent}:{kf_id}", entries),
     )
+
+
+def per_pair_wifi_score(a: WifiFingerprint, b: WifiFingerprint) -> WifiMatchScore:
+    """Reference: the WiFi scores of one pair, one shared MAC at a time,
+    which wifi.wifi_scores must equal to the last bit.
+
+    The MAC overlap is the shared MAC count over the larger MAC count, 0
+    when both are empty. The RSS distance is a plain running sum of squared
+    differences in sorted MAC order (the builtin sum() compensates from
+    Python 3.12 on), and the similarity exp(-d / (SIGMA_SCALE_DB * sqrt(n)))
+    over n shared MACs; with none they are inf and 0.
+    """
+    common = a.macs & b.macs
+    larger = max(len(a.macs), len(b.macs))
+    overlap = len(common) / larger if larger else 0.0
+    if not common:
+        return WifiMatchScore(overlap, math.inf, 0.0)
+    total = 0.0
+    for mac in sorted(common):
+        total += (a.entries[mac] - b.entries[mac]) ** 2
+    distance = math.sqrt(total)
+    similarity = math.exp(-distance / (SIGMA_SCALE_DB * math.sqrt(len(common))))
+    return WifiMatchScore(overlap, distance, similarity)

@@ -270,11 +270,11 @@ class TestAbsoluteTrajectoryError:
 
 def test_ate_and_epe_equal_their_per_keyframe_truth_lookups():
     # Truth poses are looked up with one truths_at per agent; the metrics
-    # must equal the same formulas fed one truth_at call per keyframe.
+    # must equal the same formulas fed one truths_at call per keyframe.
     plan, scripts = stage_generate(RunConfig(scenario="scene01"))
     recordings = stage_simulate(plan, scripts)
     keyframes = extract_all_keyframes(recordings)
-    truth = {kf.key: recordings[kf.agent_id].truth_at(kf.timestamp) for kf in keyframes}
+    truth = {kf.key: recordings[kf.agent_id].truths_at([kf.timestamp])[0] for kf in keyframes}
     estimated = {
         kf.key: Pose2(truth[kf.key].x + 0.01 * i, truth[kf.key].y - 0.02 * (i % 7), 0.0)
         for i, kf in enumerate(keyframes)

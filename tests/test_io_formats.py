@@ -341,6 +341,25 @@ class TestFloorplan:
         save_floorplan(second, load_floorplan(first))
         assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize(
+        "spoil, field",
+        [
+            (lambda doc: doc["signs"][1].pop("text"), "text"),
+            (lambda doc: doc["access_points"][0].pop("wall_attenuation_db"), "wall_attenuation_db"),
+            (lambda doc: doc.pop("walls_m"), "walls_m"),
+            (lambda doc: doc.pop("anchors_m"), "anchors_m"),
+        ],
+        ids=["sign-text", "ap-wall-attenuation", "walls", "anchors"],
+    )
+    def test_a_missing_field_names_the_file_and_field(self, tmp_path, spoil, field):
+        path = tmp_path / "floorplan.json"
+        save_floorplan(path, generate_floorplan(2, seed=3))
+        document = json.loads(path.read_text())
+        spoil(document)
+        path.write_text(json.dumps(document))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: missing field '{field}'$"):
+            load_floorplan(path)
+
 
 class TestMatchReport:
     C_FINITE = MatchCandidate(
@@ -479,6 +498,25 @@ class TestTrajectories:
         save_trajectories(path, {("a0", 7): Pose2.identity()}, {}, {})
         got_initial, _, _ = load_trajectories(path)
         assert list(got_initial) == [("a0", 7)]
+
+    @pytest.mark.parametrize(
+        "spoil, field",
+        [
+            (lambda doc: doc.pop("optimized"), "optimized"),
+            (lambda doc: doc["initial"][0].pop("theta"), "theta"),
+            (lambda doc: doc["optimized"][0].pop("agent"), "agent"),
+        ],
+        ids=["optimized", "pose-theta", "pose-agent"],
+    )
+    def test_a_missing_field_names_the_file_and_field(self, tmp_path, spoil, field):
+        path = tmp_path / "trajectories.json"
+        poses = {("a0", 7): Pose2(1.0, 2.0, 0.5)}
+        save_trajectories(path, poses, poses, {"loop_edge_count": 0})
+        document = json.loads(path.read_text())
+        spoil(document)
+        path.write_text(json.dumps(document))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: missing field '{field}'$"):
+            load_trajectories(path)
 
 
 class TestMergedMap:

@@ -24,10 +24,10 @@ from textwifi_slam.place_recognition import (
 )
 from textwifi_slam.simulate import AgentScript, simulate_recording
 from textwifi_slam.text_matching import edit_distances, text_similarity
-from textwifi_slam.wifi import WifiMatchScore, build_fingerprint, is_wifi_match
+from textwifi_slam.wifi import WifiMatchScore, build_fingerprint
 from textwifi_slam.world import generate_floorplan
 
-from conftest import make_keyframe
+from conftest import make_keyframe, per_pair_wifi_score
 
 
 @pytest.fixture(scope="module")
@@ -180,7 +180,7 @@ def per_pair_candidate(a, b, th: Thresholds) -> MatchCandidate:
     """The gate cascade one pair at a time, one call per gate: the rule
     the batch scorer must reproduce to the last bit."""
     text_score = text_similarity(a.text_obs.text, b.text_obs.text)
-    _, wifi_score = is_wifi_match(a.fingerprint, b.fingerprint, th.beta, th.gamma)
+    wifi_score = per_pair_wifi_score(a.fingerprint, b.fingerprint)
     verdict = wifi_verdict(wifi_score, th) if text_score >= th.alpha else Verdict.REJECTED_TEXT
     return MatchCandidate(a.key, b.key, text_score, wifi_score, verdict)
 

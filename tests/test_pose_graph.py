@@ -468,7 +468,7 @@ def test_scene01_loop_edges_agree_with_the_truth():
 
     def truth(key):
         kf = by_key[key]
-        return result.recordings[kf.agent_id].truth_at(kf.timestamp)
+        return result.recordings[kf.agent_id].truths_at([kf.timestamp])[0]
 
     edges = result.graph.loop_edges
     truths = [relative_pose(truth(e.a), truth(e.b)) for e in edges]

@@ -13,19 +13,27 @@ from textwifi_slam.simulate import (
     _SCAN_EVERY,
     _WIFI_EVERY,
     SCAN_MAX_RANGE_M,
+    OCR_P_DEL,
+    OCR_P_INS,
+    OCR_P_SUB,
+    ODOM_SIGMA_ROT_PER_RAD,
+    ODOM_SIGMA_TRANS_PER_M,
+    SCAN_SIGMA_M,
     TEXT_ATTEMPT_COOLDOWN_S,
     TEXT_DETECTION_HALF_ANGLE_RAD,
+    TEXT_DETECTION_PROB,
     TEXT_DETECTION_RANGE_M,
     TICK_S,
     WIFI_SENSITIVITY_DBM,
+    WIFI_SIGMA_DB,
     AgentScript,
-    NoiseModel,
     OdometryStep,
     Recording,
     ScanEvent,
     TruthSample,
     _build_phases,
     _pose_in_phase,
+    _sign_attempts,
     integrate_odometry,
     nearest_index,
     simulate_recording,
@@ -59,7 +67,7 @@ def noisy_recording(small_plan) -> Recording:
 
 @pytest.fixture(scope="module")
 def clean_recording(small_plan) -> Recording:
-    return simulate_recording(small_plan, script(noise=NoiseModel.zero()))
+    return simulate_recording(small_plan, script(noisy=False))
 
 
 def test_simulation_is_deterministic(small_plan, noisy_recording):
@@ -80,9 +88,36 @@ def test_different_seed_changes_noise(small_plan, noisy_recording):
 def test_zero_noise_odometry_tracks_truth(clean_recording):
     trail = integrate_odometry(clean_recording)
     final_t, final_pose = trail[-1]
-    truth = clean_recording.truth_at(final_t)
+    truth = clean_recording.truths_at([final_t])[0]
     assert math.hypot(final_pose.x - truth.x, final_pose.y - truth.y) < 1e-9
     assert abs(final_pose.theta - truth.theta) < 1e-9
+
+
+def test_a_noise_free_recording_senses_exactly_the_truth(small_plan, clean_recording):
+    poses = [s.pose for s in clean_recording.truth]
+    for step, a, b in zip(clean_recording.odometry, poses, poses[1:]):
+        true = relative_pose(a, b)
+        assert (step.dx, step.dy, step.dtheta) == (true.x, true.y, true.theta)
+    for scan in clean_recording.scans:
+        pose = clean_recording.truths_at([scan.timestamp])[0]
+        angles = pose.theta + _BEAM_ANGLES
+        want = raycast((pose.x, pose.y), angles, small_plan.walls, SCAN_MAX_RANGE_M)
+        assert np.array_equal(scan.ranges, want)
+    ap_positions = [ap.position for ap in small_plan.aps]
+    for sweep in clean_recording.wifi:
+        pose = clean_recording.truths_at([sweep.timestamp])[0]
+        receiver = (pose.x, pose.y)
+        crossings = count_wall_crossings(ap_positions, receiver, small_plan.walls).tolist()
+        rss = [(ap.mac, predicted_rss(ap, receiver, n)) for ap, n in zip(small_plan.aps, crossings)]
+        assert sweep.readings == tuple((mac, v) for mac, v in rss if v >= WIFI_SENSITIVITY_DBM)
+    # Every sign the agent tries, it reads, and reads right.
+    attempts = _sign_attempts(small_plan, poses)
+    assert clean_recording.texts
+    assert clean_recording.texts == [
+        TextObservation(k * TICK_S, "a0", sign.text, sign.sign_id)
+        for k in sorted(attempts)
+        for sign in attempts[k]
+    ]
 
 
 def test_odometry_starts_at_first_truth_sample(noisy_recording):
@@ -127,7 +162,7 @@ def test_text_observations_carry_provenance_and_range(noisy_recording, small_pla
     assert noisy_recording.texts
     for obs in noisy_recording.texts:
         sign = signs[obs.sign_id_truth]
-        pose = noisy_recording.truth_at(obs.timestamp)
+        pose = noisy_recording.truths_at([obs.timestamp])[0]
         dist = math.hypot(pose.x - sign.position[0], pose.y - sign.position[1])
         assert dist <= 2.0 + 1e-9
         assert obs.agent_id == "a0"
@@ -145,10 +180,10 @@ def test_text_attempt_cooldown(noisy_recording):
 
 def test_truth_at_picks_nearest_sample(clean_recording):
     # Walking +x at 1 m/s from (1.5, 1.5); nearest tick wins.
-    pose = clean_recording.truth_at(1.26)
+    pose, before, after = clean_recording.truths_at([1.26, -5.0, 1e9])
     assert pose.x == pytest.approx(1.5 + 1.3, abs=1e-9)
-    assert clean_recording.truth_at(-5.0) == clean_recording.truth[0].pose
-    assert clean_recording.truth_at(1e9) == clean_recording.truth[-1].pose
+    assert before == clean_recording.truth[0].pose
+    assert after == clean_recording.truth[-1].pose
 
 
 def test_nearest_index_takes_the_earlier_sample_on_a_tie():
@@ -167,8 +202,6 @@ def test_waypoints_must_stay_inside_the_plan(small_plan):
 def test_script_validation():
     with pytest.raises(ValueError):
         script(waypoints=())
-    with pytest.raises(ValueError):
-        script(text_detection_prob=1.5)
 
 
 def test_hold_time_must_be_non_negative(small_plan):
@@ -185,7 +218,8 @@ def per_tick_recording(plan: FloorPlan, script: AgentScript) -> Recording:
     total_time = phases[-1].t_end
     n_ticks = max(1, math.ceil(total_time / TICK_S - 1e-9))
 
-    noise = script.noise
+    on = 1.0 if script.noisy else 0.0
+    detection_prob = TEXT_DETECTION_PROB if script.noisy else 1.0
     rec = Recording(agent_id=script.agent_id)
     ap_positions = [ap.position for ap in plan.aps]
     cos_half = math.cos(TEXT_DETECTION_HALF_ANGLE_RAD)
@@ -204,12 +238,12 @@ def per_tick_recording(plan: FloorPlan, script: AgentScript) -> Recording:
         if prev_pose is not None:
             step = relative_pose(prev_pose, pose)
             dist = math.hypot(step.x, step.y)
-            dx = step.x + float(rng.standard_normal()) * noise.odom_sigma_trans_per_m * dist
-            dy = step.y + float(rng.standard_normal()) * noise.odom_sigma_trans_per_m * dist
+            dx = step.x + float(rng.standard_normal()) * (ODOM_SIGMA_TRANS_PER_M * on) * dist
+            dy = step.y + float(rng.standard_normal()) * (ODOM_SIGMA_TRANS_PER_M * on) * dist
             dtheta = (
                 step.theta
-                + float(rng.standard_normal()) * noise.odom_sigma_rot_per_rad * abs(step.theta)
-                + noise.heading_drift_rad_per_m * dist
+                + float(rng.standard_normal()) * (ODOM_SIGMA_ROT_PER_RAD * on) * abs(step.theta)
+                + script.heading_drift_rad_per_m * dist
             )
             rec.odometry.append(OdometryStep(t, dx, dy, dtheta))
         prev_pose = pose
@@ -219,7 +253,7 @@ def per_tick_recording(plan: FloorPlan, script: AgentScript) -> Recording:
             ranges = raycast((pose.x, pose.y), world_angles, plan.walls, SCAN_MAX_RANGE_M)
             hit = np.isfinite(ranges)
             n_hit = int(hit.sum())
-            ranges[hit] += rng.standard_normal(n_hit) * noise.scan_sigma_m
+            ranges[hit] += rng.standard_normal(n_hit) * (SCAN_SIGMA_M * on)
             rec.scans.append(ScanEvent(t, script.agent_id, ranges))
 
         if k % _WIFI_EVERY == 0:
@@ -227,7 +261,7 @@ def per_tick_recording(plan: FloorPlan, script: AgentScript) -> Recording:
             crossings = count_wall_crossings(ap_positions, receiver, plan.walls)
             readings = []
             for ap, walls_crossed in zip(plan.aps, crossings.tolist()):
-                sigma = math.hypot(ap.noise_sigma_db, noise.wifi_sigma_db)
+                sigma = math.hypot(ap.noise_sigma_db, WIFI_SIGMA_DB * on)
                 rss = predicted_rss(ap, receiver, walls_crossed)
                 rss += float(rng.standard_normal()) * sigma
                 if rss >= WIFI_SENSITIVITY_DBM:
@@ -248,9 +282,9 @@ def per_tick_recording(plan: FloorPlan, script: AgentScript) -> Recording:
             if prev is not None and t - prev < TEXT_ATTEMPT_COOLDOWN_S - 1e-9:
                 continue
             last_attempt[sign.sign_id] = t
-            if float(rng.random()) < script.text_detection_prob:
+            if float(rng.random()) < detection_prob:
                 text = corrupt_text(
-                    sign.text, noise.ocr_p_sub, noise.ocr_p_del, noise.ocr_p_ins, rng
+                    sign.text, OCR_P_SUB * on, OCR_P_DEL * on, OCR_P_INS * on, rng
                 )
                 if text:
                     rec.texts.append(

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from textwifi_slam.place_recognition import Thresholds, Verdict, wifi_verdict
 from textwifi_slam.wifi import (
     SIGMA_SCALE_DB,
     AccessPoint,
@@ -18,9 +19,10 @@ from textwifi_slam.wifi import (
     mac_similarity,
     predicted_rss,
     rss_distance,
-    rss_similarity,
     wifi_scores,
 )
+
+from conftest import per_pair_wifi_score
 
 rss_values = st.lists(st.floats(-120.0, 0.0), min_size=1, max_size=12)
 
@@ -128,16 +130,16 @@ def test_rss_distance_requires_overlap():
 
 
 def test_rss_similarity_fixtures():
-    assert rss_similarity(0.0, 5) == 1.0
-    # Distance of one sigma-sqrt(n) unit lands exactly at 1/e.
-    assert rss_similarity(2.0 * SIGMA_SCALE_DB, 4) == math.exp(-1.0)
-
-
-def test_rss_similarity_input_validation():
-    with pytest.raises(ValueError):
-        rss_similarity(-1.0, 3)
-    with pytest.raises(ValueError):
-        rss_similarity(1.0, 0)
+    five = fp({f"m{i}": -40.0 - i for i in range(5)})
+    near = fp({f"m{i}": -50.0 for i in range(4)})
+    far = fp({f"m{i}": -50.0 - SIGMA_SCALE_DB for i in range(4)})
+    same, apart = wifi_scores([five, near, far], [0, 1], [0, 2])
+    assert same.rss_distance_db == 0.0
+    assert same.rss_similarity == 1.0
+    # Four shared MACs 32 dB apart: a distance of one sigma-sqrt(n) unit,
+    # which lands exactly at 1/e.
+    assert apart.rss_distance_db == 2.0 * SIGMA_SCALE_DB
+    assert apart.rss_similarity == math.exp(-1.0)
 
 
 def test_wifi_match_identical_fingerprints():
@@ -158,7 +160,7 @@ def test_wifi_match_short_circuit_sentinel():
     assert not ok
     assert score.mac_similarity == pytest.approx(1.0 / 3.0)
     assert score.rss_distance_db == 3.0
-    assert score.rss_similarity == rss_similarity(3.0, 1)
+    assert score.rss_similarity == math.exp(-3.0 / SIGMA_SCALE_DB)
 
 
 def test_wifi_match_disjoint_macs_never_match():
@@ -172,7 +174,7 @@ def test_wifi_match_disjoint_macs_never_match():
 def test_wifi_match_threshold_boundaries_are_inclusive():
     a = fp({"m1": -50.0, "m2": -60.0})
     b = fp({"m1": -53.0, "m2": -64.0})  # distance 5 over 2 shared MACs
-    gamma = rss_similarity(5.0, 2)
+    gamma = math.exp(-5.0 / (SIGMA_SCALE_DB * math.sqrt(2.0)))
     ok, _ = is_wifi_match(a, b, beta=1.0, gamma=gamma)
     assert ok
     ok, _ = is_wifi_match(a, b, beta=1.0, gamma=gamma + 1e-12)
@@ -207,12 +209,40 @@ fingerprints = st.dictionaries(
 @example([fp({"m1": PINNED_SQUARE, "m2": -50.5}), fp({"m1": 0.0, "m2": -50.0})])
 @example([fp({"m1": 32.0 * PINNED_EXPONENT}), fp({"m1": 0.0})])
 def test_wifi_scores_equal_is_wifi_match(fps):
-    # Every ordered pair, a fingerprint with itself included; repr tells
-    # apart floats that == does not (0.0 and -0.0).
+    # Every ordered pair, a fingerprint with itself included, against the
+    # per-pair reference and against is_wifi_match, the batch of one; repr
+    # tells apart floats that == does not (0.0 and -0.0).
     pairs = [(i, j) for i in range(len(fps)) for j in range(len(fps))]
     batch = wifi_scores(fps, [i for i, _ in pairs], [j for _, j in pairs])
-    expected = [is_wifi_match(fps[i], fps[j], 0.0, 0.0)[1] for i, j in pairs]
-    assert [repr(score) for score in batch] == [repr(score) for score in expected]
+    expected = [repr(per_pair_wifi_score(fps[i], fps[j])) for i, j in pairs]
+    assert [repr(score) for score in batch] == expected
+    assert [repr(is_wifi_match(fps[i], fps[j], 0.0, 0.0)[1]) for i, j in pairs] == expected
+
+
+thresholds = st.floats(0.0, 1.0) | st.sampled_from([-0.1, 1.5, math.nan])
+
+
+@given(fingerprints, fingerprints, thresholds, thresholds)
+@example(fp({}), fp({}), 0.0, 0.0)  # both empty
+@example(fp({"m1": -50.0}), fp({"m2": -50.0}), 0.0, 0.0)  # disjoint
+@example(fp({"m1": -50.0, "m2": -60.0}), fp({"m1": -53.0, "m2": -64.0}), 1.0, 0.5)
+@example(fp({"m1": -50.0}), fp({"m1": -50.0}), 1.5, 0.5)
+@example(fp({"m1": -50.0}), fp({"m1": -50.0}), 0.5, -0.1)
+def test_one_pair_functions_equal_the_per_pair_reference(a, b, beta, gamma):
+    expected = per_pair_wifi_score(a, b)
+    assert repr(mac_similarity(a, b)) == repr(expected.mac_similarity)
+    if a.macs.isdisjoint(b.macs):
+        with pytest.raises(IncomparableFingerprints):
+            rss_distance(a, b)
+    else:
+        assert repr(rss_distance(a, b)) == repr(expected.rss_distance_db)
+    if not (0.0 <= beta <= 1.0 and 0.0 <= gamma <= 1.0):
+        with pytest.raises(ValueError):
+            is_wifi_match(a, b, beta, gamma)
+        return
+    ok, score = is_wifi_match(a, b, beta, gamma)
+    assert repr(score) == repr(expected)
+    assert ok is (wifi_verdict(expected, Thresholds(0.0, beta, gamma)) is Verdict.ACCEPTED)
 
 
 def test_wifi_scores_of_no_pairs():
