@@ -5,9 +5,16 @@ no spaces after separators; `python -m json.tool` pretty-prints a file).
 Recordings are line-delimited (one event per line) so they stream and diff
 well; the rest are single-line documents. Writers sort keys and emit a fixed
 float representation (repr, which round-trips exactly), so identical inputs
-produce identical bytes. A scan is stored as its ranges, one per beam.
-Infinities are not valid JSON; the values that can be infinite (a scan
-range with no return, rss_distance_db) are stored as null.
+produce identical bytes. Infinities are not valid JSON; rss_distance_db,
+which can be infinite, is stored as null.
+
+A scan is stored as its ranges, beam 0 first, packed as a planar laser
+scanner reports them (as in a ROS sensor_msgs/LaserScan): the standard
+base64 (RFC 4648) of the 360 ranges as little-endian IEEE-754 binary64,
++inf where a beam got no return. The 2 880 bytes always give 3 840
+characters, with no padding and nothing to escape, so every scan has one
+spelling, every value comes back bit for bit, and no range goes through
+the float text of the encoder or the parser.
 
 The recording and match-report writers build their many small rows in
 bulk, with the bytes that one encoder call per row would give. Each row
@@ -16,12 +23,14 @@ of a whole channel or table go through the encoder as one list, whose text
 is split at its commas: the encoder still writes every float's text and
 still rejects NaN and infinity. Strings never go through that split, since
 their text may hold a comma; each is encoded on its own, or with the list
-it sits in. A recording is read back with one parse of its joined lines,
-and parsed line by line only to name a bad line.
+it sits in. A recording's scans are packed by one base64 call, whose text
+splits every 3 840 characters. A recording is read back with one parse of
+its joined lines, and parsed line by line only to name a bad line.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from operator import itemgetter
@@ -32,15 +41,23 @@ import numpy as np
 
 from .geometry import PointCloud2, Pose2
 from .place_recognition import MatchCandidate, NodeKey, Verdict
-from .simulate import SCAN_RAY_COUNT, OdometryStep, Recording, ScanEvent, TruthSample
+from .simulate import (
+    SCAN_RAY_COUNT,
+    OdometryStep,
+    Recording,
+    ScanEvent,
+    TruthSample,
+    check_ranges,
+)
 from .text_matching import TextObservation
 from .wifi import AccessPoint, WifiMatchScore, WifiScan
 from .world import FloorPlan, Sign
 
 PathLike = Union[str, Path]
 
-_RANGE_TYPES = {float, int, type(None)}
 _REPORT_ROWS_PER_WRITE = 1024
+_SCAN_BYTES = SCAN_RAY_COUNT * 8
+_SCAN_CHARS = _SCAN_BYTES // 3 * 4  # base64 of a multiple of 3 bytes: no padding
 
 # No indent: with one, json falls back to its pure-Python encoder.
 _dumps = json.JSONEncoder(sort_keys=True, allow_nan=False, separators=(",", ":")).encode
@@ -141,7 +158,7 @@ def save_recording(path: PathLike, rec: Recording) -> None:
 
     Each kind of event fills a fixed template whose keys are in sorted
     order. A truth or odometry channel's numbers take one encoder call, and
-    so does a scan's ranges or a sweep's readings.
+    so does a sweep's readings; the scans' ranges take one base64 call.
     """
     head = '{"agent":' + _dumps(rec.agent_id) + ',"kind":'
     pose = _number_texts(
@@ -158,8 +175,8 @@ def save_recording(path: PathLike, rec: Recording) -> None:
             for dth, dx, dy, t in _fours(step)
         )),
         (rec.scans, (
-            f'{head}"scan","payload":{{"ranges":{_dumps(_ranges_to_list(sc.ranges))}}},"t":{t}}}'
-            for sc, t in zip(rec.scans, _times(rec.scans))
+            f'{head}"scan","payload":{{"ranges_f64le":"{ranges}"}},"t":{t}}}'
+            for ranges, t in zip(_ranges_to_base64(rec.scans), _times(rec.scans))
         )),
         (rec.wifi, (
             f'{head}"wifi","payload":{{"readings":{_dumps(w.readings)}}},"t":{t}}}'
@@ -189,12 +206,15 @@ def _times(channel: Sequence) -> list[str]:
     return _number_texts([event.timestamp for event in channel])
 
 
-def _ranges_to_list(ranges: np.ndarray) -> list:
-    """A scan's ranges as a JSON list, null meaning no return (inf)."""
-    values = ranges.tolist()
-    for beam in np.flatnonzero(ranges == math.inf).tolist():
-        values[beam] = None
-    return values
+def _ranges_to_base64(scans: Sequence[ScanEvent]) -> list[str]:
+    """Each scan's payload text, from one base64 call over every scan's bytes.
+
+    A range changed to NaN or -inf after its scan was built is refused here.
+    """
+    ranges = np.array([sc.ranges for sc in scans], dtype="<f8").reshape(-1, SCAN_RAY_COUNT)
+    check_ranges(ranges)
+    text = base64.b64encode(ranges.tobytes()).decode("ascii")
+    return [text[start : start + _SCAN_CHARS] for start in range(0, len(text), _SCAN_CHARS)]
 
 
 def load_recording(path: PathLike) -> Recording:
@@ -223,8 +243,14 @@ def load_recording(path: PathLike) -> Recording:
                     OdometryStep(t, payload["dx"], payload["dy"], payload["dtheta"])
                 )
             elif kind == "scan":
-                ranges = _ranges_from_list(payload.get("ranges"), path, lineno)
-                rec.scans.append(ScanEvent(t, agent, ranges))
+                try:
+                    ranges = _ranges_from_base64(payload["ranges_f64le"])
+                    rec.scans.append(ScanEvent(t, agent, ranges))
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ValueError(
+                        f'{path}:{lineno}: a scan payload holds "ranges_f64le", the base64 '
+                        f"of {SCAN_RAY_COUNT} little-endian binary64 ranges: {exc!r}"
+                    ) from exc
             elif kind == "wifi":
                 readings = tuple((mac, float(rss)) for mac, rss in payload["readings"])
                 rec.wifi.append(WifiScan(t, agent, readings))
@@ -261,22 +287,13 @@ def _parse_lines(path: PathLike, numbered: Sequence[tuple[int, str]]) -> list:
     return rows
 
 
-def _ranges_from_list(raw, path: PathLike, lineno: int) -> np.ndarray:
-    """A scan's ranges from their JSON list, null meaning no return (inf)."""
-    if (
-        isinstance(raw, list)
-        and len(raw) == SCAN_RAY_COUNT
-        and set(map(type, raw)) <= _RANGE_TYPES
-    ):
-        ranges = np.array(raw, dtype=float)  # a null reads as nan
-        no_return = np.isnan(ranges)
-        if np.count_nonzero(no_return) == raw.count(None) and not np.isinf(ranges).any():
-            ranges[no_return] = math.inf
-            return ranges
-    raise ValueError(
-        f"{path}:{lineno}: a scan payload holds \"ranges\", a list of "
-        f"{SCAN_RAY_COUNT} finite numbers or nulls"
-    )
+def _ranges_from_base64(text: str) -> np.ndarray:
+    """A scan's ranges from its payload text: exactly _SCAN_CHARS characters
+    of the standard alphabet, for _SCAN_BYTES bytes."""
+    raw = base64.b64decode(text, validate=True)
+    if len(text) != _SCAN_CHARS or len(raw) != _SCAN_BYTES:
+        raise ValueError(f"{len(text)} characters for {len(raw)} bytes")
+    return np.frombuffer(raw, dtype="<f8")
 
 
 def recording_path(out_dir: PathLike, agent_id: str) -> Path:

@@ -117,10 +117,12 @@ class OdometryStep:
 @dataclass(frozen=True, eq=False)
 class ScanEvent:
     """One range scan: a range per beam, SCAN_RAY_COUNT beams
-    SCAN_RESOLUTION_RAD apart, and inf where a beam got no return.
+    SCAN_RESOLUTION_RAD apart, and +inf where a beam got no return.
 
-    The ranges are copied on construction and frozen; `cloud` holds the
-    returns as points in the sensor frame (frame_id), built on first use.
+    The ranges are copied on construction and frozen; a NaN or -inf range
+    is refused (`check_ranges`), so every beam is a return or none.
+    `cloud` holds the returns as points in the sensor frame (frame_id),
+    built on first use.
     """
 
     timestamp: float
@@ -133,6 +135,7 @@ class ScanEvent:
             raise ValueError(
                 f"a scan holds {SCAN_RAY_COUNT} ranges, got an array of shape {ranges.shape}"
             )
+        check_ranges(ranges)
         ranges.flags.writeable = False
         object.__setattr__(self, "ranges", ranges)
 
@@ -148,6 +151,12 @@ class ScanEvent:
             and self.frame_id == other.frame_id
             and np.array_equal(self.ranges, other.ranges)
         )
+
+
+def check_ranges(ranges: np.ndarray) -> None:
+    """Refuse a NaN or -inf range: the rule for a scan in memory and on disk."""
+    if not (ranges > -math.inf).all():
+        raise ValueError("a scan range is NaN or -inf; a beam with no return reads +inf")
 
 
 def scan_points(ranges: np.ndarray) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Serialization: exact round trips, byte determinism, format validation."""
 
+import base64
 import json
 import math
 import re
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -48,6 +50,11 @@ def scan_ranges(*returns: tuple[int, float]) -> np.ndarray:
     return ranges
 
 
+def packed(*values: float) -> str:
+    """A scan payload's text for the given doubles, packed by struct."""
+    return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")
+
+
 def sample_recording() -> Recording:
     return Recording(
         agent_id="a0",
@@ -80,8 +87,8 @@ def reference_recording_text(rec: Recording) -> str:
     for o in rec.odometry:
         add(o.timestamp, "odom", {"dx": o.dx, "dy": o.dy, "dtheta": o.dtheta})
     for sc in rec.scans:
-        ranges = [None if r == math.inf else r for r in sc.ranges.tolist()]
-        add(sc.timestamp, "scan", {"ranges": ranges})
+        text = base64.b64encode(np.asarray(sc.ranges, "<f8").tobytes()).decode("ascii")
+        add(sc.timestamp, "scan", {"ranges_f64le": text})
     for w in rec.wifi:
         add(w.timestamp, "wifi", {"readings": [[mac, rss] for mac, rss in w.readings]})
     for tx in rec.texts:
@@ -142,20 +149,23 @@ class TestRecording:
         assert path.read_bytes() == reference_recording_text(rec).encode("utf-8")
 
     @pytest.mark.parametrize(
-        "where",
+        "where, message",
         [
-            ("truth", 1, "theta", math.nan),
-            ("truth", 0, "x", math.inf),
-            ("odometry", 0, "dy", -math.inf),
-            ("odometry", 1, "dtheta", math.nan),
-            ("wifi", 1, "readings", (("ap00", -50.0), ("ap01", math.inf))),
-            ("wifi", 1, "readings", (("ap00", math.nan),)),
+            (("truth", 1, "theta", math.nan), "not JSON compliant"),
+            (("truth", 0, "x", math.inf), "not JSON compliant"),
+            (("odometry", 0, "dy", -math.inf), "not JSON compliant"),
+            (("odometry", 1, "dtheta", math.nan), "not JSON compliant"),
+            (("wifi", 1, "readings", (("ap00", -50.0), ("ap01", math.inf))), "not JSON compliant"),
+            (("wifi", 1, "readings", (("ap00", math.nan),)), "not JSON compliant"),
+            (("scans", 1, "ranges", scan_ranges((7, math.nan))), "a scan range is NaN or -inf"),
+            (("scans", 0, "ranges", scan_ranges((0, -math.inf))), "a scan range is NaN or -inf"),
         ],
-        ids=["truth-nan", "truth-inf", "odom-inf", "odom-nan", "rss-inf", "rss-nan"],
+        ids=["truth-nan", "truth-inf", "odom-inf", "odom-nan", "rss-inf", "rss-nan",
+             "scan-nan", "scan-neg-inf"],
     )
-    def test_a_non_finite_value_is_not_written(self, tmp_path, where):
+    def test_a_non_finite_value_is_not_written(self, tmp_path, where, message):
         path = tmp_path / "recording.jsonl"
-        with pytest.raises(ValueError, match="not JSON compliant"):
+        with pytest.raises(ValueError, match=message):
             save_recording(path, broken(edge_case_recording(), *where))
         assert not path.exists()
 
@@ -164,6 +174,16 @@ class TestRecording:
         path = tmp_path / "recording_a0.jsonl"
         save_recording(path, rec)
         assert load_recording(path) == rec
+
+    def test_ranges_round_trip_bit_for_bit(self, tmp_path):
+        # Value equality (np.array_equal) takes -0.0 for 0.0, so compare bytes.
+        ranges = scan_ranges((0, -0.0), (1, 5e-324), (2, 1e16), (3, 0.1 + 0.2))
+        rec = Recording(agent_id="a0", scans=[ScanEvent(0.0, "a0", ranges)])
+        path = tmp_path / "recording_a0.jsonl"
+        save_recording(path, rec)
+        (scan,) = load_recording(path).scans
+        assert scan.ranges.tobytes() == ranges.tobytes()
+        assert scan.ranges.dtype == np.float64
 
     def test_rewriting_a_loaded_recording_changes_no_bytes(self, tmp_path):
         first = tmp_path / "one.jsonl"
@@ -279,14 +299,19 @@ class TestRecording:
         for got, want in zip(loaded.scans, rec.scans):
             assert np.array_equal(got.cloud.points, want.cloud.points)
 
-    def test_no_return_is_stored_as_null(self, tmp_path):
+    def test_no_return_is_stored_as_positive_infinity(self, tmp_path):
+        # The payload decoded by hand: 360 little-endian doubles, +inf for
+        # every beam without a return.
         path = tmp_path / "recording_a0.jsonl"
         save_recording(path, sample_recording())
         scan = next(r for r in map(json.loads, path.read_text().splitlines()) if r["kind"] == "scan")
-        ranges = scan["payload"]["ranges"]
-        assert len(ranges) == SCAN_RAY_COUNT
+        assert list(scan["payload"]) == ["ranges_f64le"]
+        text = scan["payload"]["ranges_f64le"]
+        assert len(text) == 3840 and "=" not in text
+        ranges = struct.unpack("<360d", base64.b64decode(text, validate=True))
         assert (ranges[0], ranges[90], ranges[359]) == (1.0, 3.25, 4.5)
-        assert ranges.count(None) == SCAN_RAY_COUNT - 3
+        others = [r for beam, r in enumerate(ranges) if beam not in (0, 90, 359)]
+        assert others == [math.inf] * (SCAN_RAY_COUNT - 3)
 
     @pytest.mark.parametrize(
         "payload",
@@ -296,15 +321,25 @@ class TestRecording:
             {"ranges": [math.nan] + [None] * (SCAN_RAY_COUNT - 1)},
             {"ranges": [math.inf] + [None] * (SCAN_RAY_COUNT - 1)},
             {"points": [[1.0, 2.0], [3.0, 4.5]]},
+            {"ranges_f64le": "-" + packed(*[1.0] * SCAN_RAY_COUNT)[1:]},
+            {"ranges_f64le": packed(*[1.0] * (SCAN_RAY_COUNT - 1))},
+            {"ranges_f64le": packed(*[1.0] * (SCAN_RAY_COUNT + 1))},
+            {"ranges_f64le": packed(*[1.0] * SCAN_RAY_COUNT) + "=="},
+            {"ranges_f64le": packed(math.nan, *[1.0] * (SCAN_RAY_COUNT - 1))},
+            {"ranges_f64le": packed(*[1.0] * (SCAN_RAY_COUNT - 1), -math.inf)},
+            {"ranges_f64le": 1.0},
+            {"ranges": [1.0] + [None] * (SCAN_RAY_COUNT - 1)},
         ],
-        ids=["wrong-length", "string-entry", "nan-entry", "infinite-entry", "points-payload"],
+        ids=["wrong-length", "string-entry", "nan-entry", "infinite-entry", "points-payload",
+             "outside-the-alphabet", "359-doubles", "361-doubles", "padding-after-360", "nan-double",
+             "neg-inf-double", "number-payload", "list-payload"],
     )
     def test_malformed_scan_names_the_line(self, tmp_path, payload):
         path = tmp_path / "broken.jsonl"
         odom = {"t": 0.0, "agent": "a0", "kind": "odom", "payload": {"dx": 0, "dy": 0, "dtheta": 0}}
         scan = {"t": 0.0, "agent": "a0", "kind": "scan", "payload": payload}
         path.write_text(json.dumps(odom) + "\n" + json.dumps(scan) + "\n")
-        with pytest.raises(ValueError, match=r"broken\.jsonl:2:"):
+        with pytest.raises(ValueError, match=r"broken\.jsonl:2: a scan payload holds \"ranges_f64le\""):
             load_recording(path)
 
     def test_two_files_for_one_agent_are_rejected(self, tmp_path):

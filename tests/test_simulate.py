@@ -151,6 +151,15 @@ def test_scans_are_body_frame_and_bounded(clean_recording, small_plan):
         assert float(ranges.max()) <= diag + 1e-6
 
 
+@pytest.mark.parametrize("bad", [math.nan, -math.inf], ids=["nan", "neg-inf"])
+def test_a_scan_refuses_a_nan_or_negative_infinite_range(bad):
+    ranges = np.full(360, math.inf)
+    assert ScanEvent(0.0, "a0", ranges).cloud.is_empty
+    ranges[7] = bad
+    with pytest.raises(ValueError, match="a scan range is NaN or -inf"):
+        ScanEvent(0.0, "a0", ranges)
+
+
 def test_wifi_sensitivity_floor(noisy_recording):
     readings = [rss for scan in noisy_recording.wifi for _, rss in scan.readings]
     assert readings
