@@ -5,8 +5,8 @@ no spaces after separators; `python -m json.tool` pretty-prints a file).
 Recordings are line-delimited (one event per line) so they stream and diff
 well; the rest are single-line documents. Writers sort keys and emit a fixed
 float representation (repr, which round-trips exactly), so identical inputs
-produce identical bytes. Infinities are not valid JSON; rss_distance_db,
-which can be infinite, is stored as null.
+produce identical bytes. NaN and infinities are not valid JSON, and no
+reader takes them; rss_distance_db, which can be infinite, is stored as null.
 
 A scan is stored as its ranges, beam 0 first, packed as a planar laser
 scanner reports them (as in a ROS sensor_msgs/LaserScan): the standard
@@ -63,6 +63,15 @@ _SCAN_CHARS = _SCAN_BYTES // 3 * 4  # base64 of a multiple of 3 bytes: no paddin
 _dumps = json.JSONEncoder(sort_keys=True, allow_nan=False, separators=(",", ":")).encode
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+# Python's parser takes NaN, Infinity and -Infinity unless told not to; this
+# one refuses them, and still parses with the C scanner.
+_loads = json.JSONDecoder(parse_constant=_refuse_constant).decode
+
+
 def _number_texts(values: list) -> list[str]:
     """The JSON text of each item of values, from one encoder call.
 
@@ -77,7 +86,10 @@ def save_json(path: PathLike, obj) -> None:
 
 
 def load_json(path: PathLike):
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        return _loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------- floorplan
@@ -274,15 +286,15 @@ def _parse_lines(path: PathLike, numbered: Sequence[tuple[int, str]]) -> list:
     values, is parsed again line by line, so the error names its bad line.
     """
     try:
-        rows = json.loads("[" + ",".join([line for _, line in numbered]) + "]")
-    except json.JSONDecodeError:
+        rows = _loads("[" + ",".join([line for _, line in numbered]) + "]")
+    except ValueError:
         rows = None
     if rows is None or len(rows) != len(numbered):
         rows = []
         for lineno, line in numbered:
             try:
-                rows.append(json.loads(line))
-            except json.JSONDecodeError as exc:
+                rows.append(_loads(line))
+            except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return rows
 

@@ -48,7 +48,6 @@ from .place_recognition import (
 )
 from .pose_graph import (
     PoseGraph,
-    RegistrationWork,
     build_pose_graph,
     merge_maps,
     optimize_pose_graph,
@@ -152,24 +151,20 @@ def stage_align(result: PipelineResult) -> None:
 
     Accepted pairs are registered by visit pair (group_visits): the first
     pair of each in full, its siblings warm-started from that fit. The
-    registrations run on every usable CPU (register_keyframe_pairs), whose
-    worker processes have exited when this returns. Fills graph, initial,
-    optimized, graph_summary (with the registration work counts) and merged.
+    registrations run on every usable CPU; register_keyframe_pairs returns
+    their fits and total work once its worker processes have exited. Fills
+    graph, initial, optimized, graph_summary (with the registration work
+    counts) and merged.
     """
     by_key = result.keyframes_by_key
     accepted = [c for c in result.candidates if c.verdict is Verdict.ACCEPTED]
-    registrations = register_keyframe_pairs(
+    fits, work = register_keyframe_pairs(
         [(by_key[cand.a], by_key[cand.b]) for cand in accepted],
         group_visits(result.keyframes, result.config.alpha),
     )
-    graph = build_pose_graph(
-        result.keyframes, [(cand, fit) for cand, (fit, _) in zip(accepted, registrations)]
-    )
+    graph = build_pose_graph(result.keyframes, list(zip(accepted, fits)))
     if not graph.loop_edges:
         log.warning("no usable loop closures; agents stay in their own odometry frames")
-    work = RegistrationWork()
-    for _, pair_work in registrations:
-        work += pair_work
     result.graph, result.initial = graph, dict(graph.nodes)
     result.optimized, stats = optimize_pose_graph(graph, return_stats=True)
     # The graph diagnostics that survive a round-trip through files.

@@ -3,23 +3,24 @@ and map merging.
 
 Nodes are keyframes, odometry edges chain consecutive keyframes of one
 agent, and loop edges carry scan-registration results between matched
-keyframes. A pair is registered from the odometry guess and, when that fit
-is not solid, from co-located heading starts, nearest the guess's heading
-first, up to the first solid fit. An agent reads a sign several times as it
-walks past, so one pair of visits gives several matched pairs:
-register_keyframe_pairs registers the first pair of each visit pair in full
-and starts the others from its fit. Visit pairs are independent of each
-other, so it spreads them over one forked worker process per CPU the
-process may run on, and runs them in-process when it cannot. The optimizer
-is iteratively reweighted Gauss-Newton with a Huber kernel and
-Levenberg-style damping, solved on the sparse normal equations JᵀWJ with a
-sparse LU: a step is only taken when it lowers the robust objective, so the
-objective history is non-increasing by construction (and asserted).
+keyframes. register_keyframe_pair is the one rule for registering a pair:
+it tries a warm start when given one, then the odometry guess, then
+co-located heading starts, nearest the guess's heading first, up to the
+first solid fit. An agent reads a sign several times as it walks past, so
+one pair of visits gives several matched pairs: register_keyframe_pairs
+registers the first pair of each visit pair from its odometry guess and
+warm-starts the others from its fit, and returns the fits with the work
+they took in total. Visit pairs are independent of each other, so it
+spreads them over one forked worker process per CPU the process may run
+on, and runs them in-process when it cannot. The optimizer is iteratively
+reweighted Gauss-Newton with a Huber kernel and Levenberg-style damping,
+solved on the sparse normal equations JᵀWJ with a sparse LU: a step is only
+taken when it lowers the robust objective, so the objective history is
+non-increasing by construction (and asserted).
 """
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 import os
@@ -93,9 +94,9 @@ class RegistrationWork:
     starts included, and icp_capped counts the runs that stopped at the
     iteration cap without converging; sweeps counts heading sweeps begun,
     and sweep_starts the heading runs they made, one to four each, since a
-    sweep stops at its first solid fit; warm_starts counts pairs started
-    from their visit pair's first fit, and warm_fallbacks those whose warm
-    fit was not solid, so they also ran the full path.
+    sweep stops at its first solid fit; warm_starts counts pairs given a
+    warm start, and warm_fallbacks those whose warm fit was not solid, so
+    they went on to the odometry guess.
     """
 
     icp_calls: int = 0
@@ -144,88 +145,71 @@ def _counted_icp(work: RegistrationWork, a: Keyframe, b: Keyframe, initial: Pose
     return fit
 
 
-def register_keyframe_pair(a: Keyframe, b: Keyframe, work: RegistrationWork) -> IcpResult:
+def register_keyframe_pair(
+    a: Keyframe, b: Keyframe, work: RegistrationWork, warm: Optional[Pose2] = None
+) -> IcpResult:
     """Register b's scan into a's scan frame, counting the ICP runs in work.
 
-    The first initial guess is the relative pose the odometry already
-    implies; if that converges with solid overlap and a tight fit it wins.
-    Otherwise the co-located assumption is tried at the sweep headings,
-    since two agents can face a sign from opposite directions: nearest the
-    odometry guess's heading first (ties in SWEEP_HEADINGS order), and the
-    first solid heading fit wins. Corridors and rooms are symmetric enough
-    that several headings often fit solidly at distinct poses, and the one
-    the odometry points at is more often the true one than the lowest
-    error is. Only when no heading is solid does best_result pick among
-    the odometry fit and every heading fit.
+    The starts, in order: warm when given; the relative pose the odometry
+    implies; the co-located sweep headings (two agents can face a sign from
+    opposite directions), nearest the odometry guess's heading first, ties
+    in SWEEP_HEADINGS order. A solid warm fit wins outright. Otherwise the
+    first solid fit ends the search and competes with the warm fit, if any,
+    through best_result, which ranks every fit when none is solid. In
+    symmetric corridors and rooms several headings often fit solidly, and
+    the one the odometry points at is more often true than the lowest error.
 
     The fit-quality bar is load-bearing: in a self-similar corridor a badly
     drifted odometry guess can settle into a "converged" registration one
     room pitch off, with plenty of overlap but a residual far above what
     the true alignment leaves. Such a fit must not skip the sweep.
     """
-    guess = relative_pose(a.odom_pose, b.odom_pose)
-    first = _counted_icp(work, a, b, guess)
-    if _is_solid(first):
-        return first
-    work.sweeps += 1
-    fits = [first]
-    nearest_first = sorted(
-        SWEEP_HEADINGS, key=lambda h: abs(normalize_angle(h.theta - guess.theta))
-    )
-    for heading in nearest_first:
-        work.sweep_starts += 1
-        fit = _counted_icp(work, a, b, heading)
+    warm_fits = []
+    if warm is not None:
+        work.warm_starts += 1
+        fit = _counted_icp(work, a, b, warm)
         if _is_solid(fit):
             return fit
-        fits.append(fit)
-    return best_result(fits)
+        work.warm_fallbacks += 1
+        warm_fits.append(fit)
+    guess = relative_pose(a.odom_pose, b.odom_pose)
+    fits = [_counted_icp(work, a, b, guess)]
+    if not _is_solid(fits[-1]):
+        work.sweeps += 1
+        nearest_first = sorted(
+            SWEEP_HEADINGS, key=lambda h: abs(normalize_angle(h.theta - guess.theta))
+        )
+        for heading in nearest_first:
+            work.sweep_starts += 1
+            fits.append(_counted_icp(work, a, b, heading))
+            if _is_solid(fits[-1]):
+                break
+    if _is_solid(fits[-1]):
+        return best_result((*warm_fits, fits[-1]))
+    return best_result((*warm_fits, *fits))
 
 
-def _register_sibling(
-    pair: tuple[Keyframe, Keyframe],
-    first_pair: tuple[Keyframe, Keyframe],
-    first: IcpResult,
-    work: RegistrationWork,
-) -> IcpResult:
-    """Register a pair whose visit pair's first pair was registered as first.
-
-    Both scans were taken a few meters from the first pair's, so ICP starts
-    from the first fit carried over by each agent's short odometry between
-    the two keyframes. Only a fit that is not solid falls back to
-    register_keyframe_pair, and the better of the two fits is kept.
-    """
-    (a, b), (a0, b0) = pair, first_pair
-    guess = compose(
-        compose(relative_pose(a.odom_pose, a0.odom_pose), first.transform),
-        relative_pose(b0.odom_pose, b.odom_pose),
-    )
-    work.warm_starts += 1
-    warm = _counted_icp(work, a, b, guess)
-    if _is_solid(warm):
-        return warm
-    work.warm_fallbacks += 1
-    return best_result((warm, register_keyframe_pair(a, b, work)))
+# The keyframe pairs of each visit pair of the register_keyframe_pairs call
+# in progress. Forked workers inherit it at fork, so only a visit pair's
+# index goes to them and only results come back.
+_visit_pairs: list[list[tuple[Keyframe, Keyframe]]] = []
 
 
-# The pairs of each register_keyframe_pairs call in progress, by call, with
-# the pair indices of each visit pair. Forked workers inherit this at fork,
-# so only visit-pair indices go to them and only results come back.
-_registrations_in_progress: dict[int, tuple[list[tuple[Keyframe, Keyframe]], list[list[int]]]] = {}
-
-
-def _register_visit_pair(call: int, task: int) -> list[tuple[IcpResult, RegistrationWork]]:
-    """Register one visit pair's pairs in order: the first in full, the
-    rest warm-started from its fit."""
-    pairs, visit_pairs = _registrations_in_progress[call]
-    first_index, *sibling_indices = visit_pairs[task]
+def _register_visit_pair(task: int) -> tuple[list[IcpResult], RegistrationWork]:
+    """Register one visit pair's pairs in order, with their work: the first
+    from its odometry guess, the others warm from its fit, carried over by
+    each agent's short odometry between the two keyframes."""
+    (a0, b0), *siblings = _visit_pairs[task]
     work = RegistrationWork()
-    first = register_keyframe_pair(*pairs[first_index], work)
-    registered = [(first, work)]
-    for index in sibling_indices:
-        work = RegistrationWork()
-        fit = _register_sibling(pairs[index], pairs[first_index], first, work)
-        registered.append((fit, work))
-    return registered
+    first = register_keyframe_pair(a0, b0, work)
+    fits = [first]
+    for a, b in siblings:
+        warm = compose(
+            compose(relative_pose(a.odom_pose, a0.odom_pose), first.transform),
+            relative_pose(b0.odom_pose, b.odom_pose),
+        )
+        fits.append(register_keyframe_pair(a, b, work, warm))
+    return fits, work
 
 
 def _registration_pool(task_count: int) -> Optional[futures.ProcessPoolExecutor]:
@@ -247,33 +231,32 @@ def _registration_pool(task_count: int) -> Optional[futures.ProcessPoolExecutor]
 
 def register_keyframe_pairs(
     pairs: Sequence[tuple[Keyframe, Keyframe]], visit: Mapping[NodeKey, NodeKey]
-) -> list[tuple[IcpResult, RegistrationWork]]:
-    """Register every pair, with the work each took, in the order given.
+) -> tuple[list[IcpResult], RegistrationWork]:
+    """Register every pair: the fits in the order given, and their work in total.
 
     Pairs are grouped, in order, by visit pair: (visit[a.key], visit[b.key]),
     with visit from place_recognition.group_visits. The first pair of each
-    visit pair goes through register_keyframe_pair; the others start from
-    its fit (_register_sibling). A visit pair is one unit of work: with more
-    than one and more than one usable CPU they run in a pool of forked
-    worker processes, which is shut down (its workers joined) before this
-    returns. Each visit pair is registered the same way wherever it runs,
-    so the results do not depend on the worker count. An exception from any
-    pair is raised here. The pool's workers inherit every target scan's
-    KD-tree, built here before they fork.
+    visit pair goes through register_keyframe_pair from its odometry guess;
+    the others start warm from its fit. A visit pair is one unit of work:
+    with more than one and more than one usable CPU they run in a pool of
+    forked worker processes, which is shut down (its workers joined) before
+    this returns. Each visit pair is registered the same way wherever it
+    runs, so the results do not depend on the worker count. An exception
+    from any pair is raised here. The pool's workers inherit every target
+    scan's KD-tree, built here before they fork.
     """
+    global _visit_pairs
     pairs = list(pairs)
     by_visit_pair: dict[tuple[NodeKey, NodeKey], list[int]] = {}
     for index, (a, b) in enumerate(pairs):
         by_visit_pair.setdefault((visit[a.key], visit[b.key]), []).append(index)
-    visit_pairs = list(by_visit_pair.values())
-    call = id(pairs)
-    _registrations_in_progress[call] = (pairs, visit_pairs)
+    groups = list(by_visit_pair.values())
+    _visit_pairs = [[pairs[index] for index in group] for group in groups]
     try:
-        register = functools.partial(_register_visit_pair, call)
-        tasks = range(len(visit_pairs))
-        pool = _registration_pool(len(visit_pairs))
+        tasks = range(len(groups))
+        pool = _registration_pool(len(groups))
         if pool is None:
-            done = list(map(register, tasks))
+            done = list(map(_register_visit_pair, tasks))
         else:
             # Built before the fork, each target's KD-tree (and the import
             # of scipy.spatial) is inherited by every worker, not redone.
@@ -281,14 +264,16 @@ def register_keyframe_pairs(
                 a.scan.kdtree
             with pool:
                 # One visit pair per request keeps the workers evenly loaded.
-                done = list(pool.map(register, tasks))
+                done = list(pool.map(_register_visit_pair, tasks))
     finally:
-        del _registrations_in_progress[call]
-    results: list = [None] * len(pairs)
-    for indices, registered in zip(visit_pairs, done):
-        for index, entry in zip(indices, registered):
-            results[index] = entry
-    return results
+        _visit_pairs = []
+    fits: list = [None] * len(pairs)
+    work = RegistrationWork()
+    for group, (group_fits, group_work) in zip(groups, done):
+        work += group_work
+        for index, fit in zip(group, group_fits):
+            fits[index] = fit
+    return fits, work
 
 
 def build_pose_graph(
@@ -353,6 +338,8 @@ class _ComponentProblem:
             [[e.relative.x, e.relative.y, e.relative.theta] for e in edges], dtype=float
         ).reshape(-1, 3)
         self.w = np.array([e.weight for e in edges], dtype=float)
+        # The measured angles are constant: their cosines and sines are taken once.
+        self.cz, self.sz = np.cos(self.z[:, 2]), np.sin(self.z[:, 2])
         self.x = np.array(
             [[graph.nodes[k].x, graph.nodes[k].y, graph.nodes[k].theta] for k in keys],
             dtype=float,
@@ -368,7 +355,7 @@ class _ComponentProblem:
         dt = xj[:, :2] - xi[:, :2]
         rel_x = ci * dt[:, 0] + si * dt[:, 1]
         rel_y = -si * dt[:, 0] + ci * dt[:, 1]
-        cz, sz = np.cos(self.z[:, 2]), np.sin(self.z[:, 2])
+        cz, sz = self.cz, self.sz
         ex = rel_x - self.z[:, 0]
         ey = rel_y - self.z[:, 1]
         res = np.empty((self.n_edges, 3))
@@ -409,7 +396,7 @@ class _ComponentProblem:
         xi = x[self.ii]
         xj = x[self.jj]
         ci, si = np.cos(xi[:, 2]), np.sin(xi[:, 2])
-        cz, sz = np.cos(self.z[:, 2]), np.sin(self.z[:, 2])
+        cz, sz = self.cz, self.sz
         dt = xj[:, :2] - xi[:, :2]
 
         # R(theta_z)^T @ R(theta_i)^T = R(theta_i + theta_z)^T, per edge.

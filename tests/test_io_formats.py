@@ -219,6 +219,28 @@ class TestRecording:
         with pytest.raises(ValueError, match=r"broken\.jsonl:2: Unterminated string"):
             load_recording(path)
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("kind, field", [("wifi", "t"), ("odom", "dx")])
+    def test_a_non_finite_constant_names_the_file_and_line(
+        self, tmp_path, constant, kind, field
+    ):
+        """Python's parser takes NaN and the infinities unless told not to;
+        no writer emits them, so no reader may take them."""
+        path = tmp_path / "recording_a0.jsonl"
+        save_recording(path, sample_recording())
+        lines = path.read_text().splitlines()
+        index = next(i for i, line in enumerate(lines) if json.loads(line)["kind"] == kind)
+        row = json.loads(lines[index])
+        (row if field == "t" else row["payload"])[field] = float(constant)
+        lines[index] = json.dumps(row)  # json.dumps writes the constant
+        assert constant in lines[index]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(
+            ValueError,
+            match=rf"^{re.escape(str(path))}:{index + 1}: {constant} is not valid JSON$",
+        ):
+            load_recording(path)
+
     @pytest.mark.parametrize(
         "payload",
         [
@@ -339,7 +361,16 @@ class TestRecording:
         odom = {"t": 0.0, "agent": "a0", "kind": "odom", "payload": {"dx": 0, "dy": 0, "dtheta": 0}}
         scan = {"t": 0.0, "agent": "a0", "kind": "scan", "payload": payload}
         path.write_text(json.dumps(odom) + "\n" + json.dumps(scan) + "\n")
-        with pytest.raises(ValueError, match=r"broken\.jsonl:2: a scan payload holds \"ranges_f64le\""):
+        # json.dumps writes NaN and Infinity, which are not valid JSON: the
+        # parser refuses such a line before the scan decoder sees it.
+        ranges = payload.get("ranges", [])
+        refused = [r for r in ranges if isinstance(r, float) and not math.isfinite(r)]
+        message = (
+            f"{json.dumps(refused[0])} is not valid JSON"
+            if refused
+            else 'a scan payload holds "ranges_f64le"'
+        )
+        with pytest.raises(ValueError, match=rf"broken\.jsonl:2: {re.escape(message)}"):
             load_recording(path)
 
     def test_two_files_for_one_agent_are_rejected(self, tmp_path):
@@ -551,6 +582,18 @@ class TestTrajectories:
         spoil(document)
         path.write_text(json.dumps(document))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: missing field '{field}'$"):
+            load_trajectories(path)
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_a_non_finite_constant_names_the_file(self, tmp_path, constant):
+        path = tmp_path / "trajectories.json"
+        poses = {("a0", 7): Pose2(1.0, 2.0, 0.5)}
+        save_trajectories(path, poses, poses, {"loop_edge_count": 0})
+        text = path.read_text()
+        assert '"x":1.0' in text
+        path.write_text(text.replace('"x":1.0', f'"x":{constant}', 1))
+        message = f"^{re.escape(str(path))}: {constant} is not valid JSON$"
+        with pytest.raises(ValueError, match=message):
             load_trajectories(path)
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from textwifi_slam import io_formats, pipeline
 from textwifi_slam.config import config_for_scenario
+from textwifi_slam.pose_graph import RegistrationWork
 
 
 @pytest.fixture()
@@ -50,7 +51,7 @@ def test_collector_is_paused_for_bulk_builds_and_running_for_align(
 
     spy(pipeline, "simulate_recording")
     spy(pipeline, "match_all")
-    spy(pipeline, "register_keyframe_pairs", result=[])
+    spy(pipeline, "register_keyframe_pairs", result=([], RegistrationWork()))
     spy(pipeline, "optimize_pose_graph")
     spy(io_formats, "save_recording")
     spy(io_formats, "save_match_report")

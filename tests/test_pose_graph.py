@@ -508,50 +508,66 @@ class TestVisitPairs:
         )
         visit = group_visits([a0, a, b0, b], alpha=0.8)
         assert visit == {a0.key: a0.key, a.key: a0.key, b0.key: b0.key, b.key: b0.key}
-        (first, first_work), (sibling, sibling_work) = register_keyframe_pairs(
-            [(a0, b0), (a, b)], visit
-        )
+        (first, sibling), work = register_keyframe_pairs([(a0, b0), (a, b)], visit)
         assert pose_close(first.transform, first_rel, tol=1e-6)
-        assert first_work.sweeps == 1 and first_work.warm_starts == 0
         assert pose_close(sibling.transform, sibling_rel, tol=1e-6)
-        assert sibling_work == RegistrationWork(
+        first_work = RegistrationWork()
+        assert register_keyframe_pair(a0, b0, first_work) == first
+        assert first_work.sweeps == 1 and first_work.warm_starts == 0
+        # The sibling's one warm run is all the work beyond the first pair's.
+        first_work += RegistrationWork(
             icp_calls=1, icp_iterations=sibling.iterations, warm_starts=1
         )
+        assert work == first_work
 
-    @pytest.mark.parametrize("best", ["warm", "sweep"])
+    @pytest.mark.parametrize("best", ["warm", "sweep", "warm over a solid odometry fit"])
     def test_a_non_solid_warm_fit_falls_back_and_keeps_the_best(self, monkeypatch, best):
         a0, a = make_keyframe("a0", 0, 0.0), make_keyframe("a0", 1, 1.0)
         b0 = make_keyframe("a1", 0, 0.0, pose=Pose2(1.0, 0.5, 0.3))
         b = make_keyframe("a1", 1, 1.0, pose=Pose2(1.2, 0.5, 0.3))
-        # Every fit stays where it started: converged, never solid (inliers
-        # 0.5), with the lowest error at the start named by best.
-        first_fit = relative_pose(a0.odom_pose, b0.odom_pose)
+        # Every fit stays where it started, converged. Only a start in solid
+        # is solid; the others have too few inliers (0.5). The first pair's
+        # best start is the heading pi, which puts the sibling's warm guess
+        # far from its odometry guess.
+        heading_pi = Pose2(0.0, 0.0, math.pi)
         warm_guess = compose(
-            compose(relative_pose(a.odom_pose, a0.odom_pose), first_fit),
+            compose(relative_pose(a.odom_pose, a0.odom_pose), heading_pi),
             relative_pose(b0.odom_pose, b.odom_pose),
         )
-        lowest = warm_guess if best == "warm" else Pose2(0.0, 0.0, math.pi)
+        odometry_guess = relative_pose(a.odom_pose, b.odom_pose)
+        mse = {heading_pi: 0.02, warm_guess: 0.04 if best == "sweep" else 0.01}
+        solid = {odometry_guess} if best == "warm over a solid odometry fit" else set()
 
         def stay(source, target, initial, **kwargs):
-            return IcpResult(initial, 0.01 if initial == lowest else 0.04, 5, True, 0.5)
+            if initial in solid:
+                return IcpResult(initial, 0.03, 5, True, 0.9)
+            return IcpResult(initial, mse.get(initial, 0.04), 5, True, 0.5)
 
         monkeypatch.setattr(pose_graph, "icp_register", stay)
-        (_, first_work), (sibling, work) = register_keyframe_pairs(
+        (first, sibling), work = register_keyframe_pairs(
             [(a0, b0), (a, b)], group_visits([a0, a, b0, b], alpha=0.8)
         )
-        assert first_work == RegistrationWork(
-            icp_calls=5, icp_iterations=25, sweeps=1, sweep_starts=4
-        )
-        # The warm fit, then the odometry guess and the four-heading sweep.
-        assert work == RegistrationWork(
-            icp_calls=6,
-            icp_iterations=30,
-            sweeps=1,
-            sweep_starts=4,
-            warm_starts=1,
-            warm_fallbacks=1,
-        )
-        assert sibling.transform == lowest
+        assert first.transform == heading_pi
+        # The first pair: its odometry guess and the four-heading sweep.
+        expected = RegistrationWork(icp_calls=5, icp_iterations=25, sweeps=1, sweep_starts=4)
+        if solid:
+            # The warm fit, then the odometry guess, whose solid fit ends the
+            # search; the warm fit's lower error still wins.
+            expected += RegistrationWork(
+                icp_calls=2, icp_iterations=10, warm_starts=1, warm_fallbacks=1
+            )
+        else:
+            # The warm fit, then the odometry guess and the four-heading sweep.
+            expected += RegistrationWork(
+                icp_calls=6,
+                icp_iterations=30,
+                sweeps=1,
+                sweep_starts=4,
+                warm_starts=1,
+                warm_fallbacks=1,
+            )
+        assert work == expected
+        assert sibling.transform == (heading_pi if best == "sweep" else warm_guess)
 
 
 @pytest.fixture
@@ -576,33 +592,30 @@ class TestRegisterPairs:
         self, scene01_accepted_pairs, two_cpus, monkeypatch
     ):
         pairs, visit = scene01_accepted_pairs
-        pooled = register_keyframe_pairs(pairs, visit)
+        pooled, pooled_work = register_keyframe_pairs(pairs, visit)
         assert multiprocessing.active_children() == []
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        expected = register_keyframe_pairs(pairs, visit)
+        expected, expected_work = register_keyframe_pairs(pairs, visit)
         assert len(pooled) == len(expected) == len(pairs)
-        for (got, got_work), (want, want_work) in zip(pooled, expected):
+        for got, want in zip(pooled, expected):
             assert got.transform == want.transform
             assert got.mean_sq_error == want.mean_sq_error
             assert got.iterations == want.iterations
             assert got.converged == want.converged
             assert got.inlier_fraction == want.inlier_fraction
-            assert got_work == want_work
+        assert pooled_work == expected_work
 
-        # Candidate order: the first pair of each visit pair is registered in
-        # full and its siblings warm-started, each at its own index.
-        seen = set()
-        first_pairs = []
+        # Candidate order: the first pair of each visit pair is registered
+        # from its odometry guess and its siblings warm-started, each at its
+        # own index.
+        first_pairs = {}
         for index, (a, b) in enumerate(pairs):
-            visit_pair = (visit[a.key], visit[b.key])
-            assert pooled[index][1].warm_starts == (visit_pair in seen)
-            if visit_pair not in seen:
-                seen.add(visit_pair)
-                first_pairs.append(index)
-        assert 1 < len(seen) < len(pairs)
-        for index in first_pairs[:20]:
+            first_pairs.setdefault((visit[a.key], visit[b.key]), index)
+        assert 1 < len(first_pairs) < len(pairs)
+        assert pooled_work.warm_starts == len(pairs) - len(first_pairs)
+        for index in list(first_pairs.values())[:20]:
             fit = register_keyframe_pair(*pairs[index], RegistrationWork())
-            assert fit == pooled[index][0]
+            assert fit == pooled[index]
 
     @pytest.mark.parametrize("count, cpus", [(0, 2), (1, 2), (3, 1)])
     def test_no_pool_for_few_pairs_or_one_cpu(self, count, cpus, monkeypatch):
@@ -613,10 +626,10 @@ class TestRegisterPairs:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         a = make_keyframe("a0", 0, 0.0)
         bs = [make_keyframe("a1", i, 20.0 * i, pose=Pose2(0.1, -0.1, 0.05)) for i in range(count)]
-        out = register_keyframe_pairs([(a, b) for b in bs], one_visit_each(a, *bs))
-        assert [fit for fit, _ in out] == [
-            register_keyframe_pair(a, b, RegistrationWork()) for b in bs
-        ]
+        fits, work = register_keyframe_pairs([(a, b) for b in bs], one_visit_each(a, *bs))
+        expected = RegistrationWork()
+        assert fits == [register_keyframe_pair(a, b, expected) for b in bs]
+        assert work == expected
 
     def test_target_trees_are_built_before_the_workers_fork(self, two_cpus):
         targets = [make_keyframe("a0", i, 20.0 * i) for i in range(3)]
@@ -644,10 +657,10 @@ class TestRegisterPairs:
         stage exception into exit code 2, so this surfaces as a failed run."""
         register = pose_graph.register_keyframe_pair
 
-        def die_on_doomed(a, b, work):
+        def die_on_doomed(a, b, *args):
             if b.agent_id == "doomed":
                 os._exit(1)
-            return register(a, b, work)
+            return register(a, b, *args)
 
         monkeypatch.setattr(pose_graph, "register_keyframe_pair", die_on_doomed)
         a = make_keyframe("a0", 0, 0.0)
