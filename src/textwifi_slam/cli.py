@@ -118,14 +118,28 @@ def _cmd_align(cfg: RunConfig, out_dir: Path) -> None:
     )
 
 
+def _map_accuracy(trajectory: dict) -> str:
+    """The map's ATE and end-point error, each when the metrics hold it."""
+    return "".join(
+        f"; {name} {trajectory[key]:.3f} m"
+        for name, key in (
+            ("absolute trajectory error", "ate_optimized_m"),
+            ("end-point error", "epe_optimized_m"),
+        )
+        if key in trajectory
+    )
+
+
 def _cmd_evaluate(cfg: RunConfig, out_dir: Path) -> None:
-    pr = pipeline.run_evaluate(cfg, out_dir).metrics["precision_recall"]
+    metrics = pipeline.run_evaluate(cfg, out_dir).metrics
+    pr = metrics["precision_recall"]
     print(
         "precision/recall: "
         + ", ".join(
             f"{kind} {pr[kind]['precision']:.3f}/{pr[kind]['recall']:.3f}"
             for kind in ("text_only", "wifi_only", "fused")
         )
+        + _map_accuracy(metrics["trajectory"])
     )
 
 
@@ -133,15 +147,10 @@ def _cmd_run_all(cfg: RunConfig, out_dir: Path) -> None:
     result = pipeline.run_all(cfg, out_dir=out_dir)
     pr = result.metrics["precision_recall"]["fused"]
     traj = result.metrics["trajectory"]
-    line = (
+    print(
         f"fused precision {pr['precision']:.3f} recall {pr['recall']:.3f}; "
-        f"{traj['loop_edge_count']} loop edges"
+        f"{traj['loop_edge_count']} loop edges" + _map_accuracy(traj)
     )
-    if "ate_optimized_m" in traj:
-        line += f"; absolute trajectory error {traj['ate_optimized_m']:.3f} m"
-    if "epe_optimized_m" in traj:
-        line += f"; end-point error {traj['epe_optimized_m']:.3f} m"
-    print(line)
     print(f"artifacts in {out_dir}")
 
 

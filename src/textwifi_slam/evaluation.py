@@ -4,8 +4,12 @@ Ground truth for a candidate pair comes from the simulator: two text
 observations are the same place exactly when they carry the same source
 sign id. Precision/recall are reported for the text gate alone, the WiFi
 gates alone, and the fused cascade, so the benefit of fusing is visible in
-one table. Map accuracy is the absolute trajectory error of the keyframes
-against the simulator's true poses.
+one table.
+
+Map accuracy is scored from one truth table, keyframe_truth: each
+keyframe's true pose at its timestamp, looked up once per evaluation. Both
+map metrics read it: the absolute trajectory error of the keyframes, and
+the end-point error between the plan's start and end anchor visits.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .place_recognition import (
     wifi_verdict,
 )
 from .simulate import Recording
+from .world import Point
 
 # The keyframe standing in for an anchor visit must lie this close to the
 # anchor in ground truth.
@@ -145,119 +150,104 @@ def threshold_sweep(
     ]
 
 
-@dataclass(frozen=True)
-class EpeReport:
-    label_start: str
-    label_end: str
-    node_start: NodeKey
-    node_end: NodeKey
-    truth_separation_m: float
-    estimated_separation_m: float
-
-    @property
-    def end_point_error_m(self) -> float:
-        return abs(self.estimated_separation_m - self.truth_separation_m)
-
-
-def _parse_anchor(label: str) -> tuple[str, str]:
-    agent, sep, tag = label.partition("/")
-    if not sep or not agent or not tag:
-        raise ValueError(f"anchor label {label!r} is not of the form 'agent/tag'")
-    return agent, tag
-
-
-def _truth_poses(
+def keyframe_truth(
     keyframes: Sequence[Keyframe], recordings: Mapping[str, Recording]
-) -> list[Pose2]:
-    """Each keyframe's true pose, in order, with one truths_at per agent."""
+) -> dict[NodeKey, Pose2]:
+    """Each keyframe's true pose, keyed and in keyframe order, with one
+    truths_at call per agent."""
     agents = dict.fromkeys(kf.agent_id for kf in keyframes)
     times = {agent: [kf.timestamp for kf in keyframes if kf.agent_id == agent] for agent in agents}
     poses = {agent: iter(recordings[agent].truths_at(times[agent])) for agent in agents}
-    return [next(poses[kf.agent_id]) for kf in keyframes]
+    return {kf.key: next(poses[kf.agent_id]) for kf in keyframes}
+
+
+def _anchor_label(anchors: Mapping[str, Point], suffix: str) -> Optional[str]:
+    """The one anchor label ending in suffix, or None when there is none."""
+    labels = [label for label in anchors if label.endswith(suffix)]
+    if len(labels) > 1:
+        raise ValueError(f"anchor labels {', '.join(map(repr, labels))} all end in {suffix!r}")
+    return labels[0] if labels else None
 
 
 def _nearest_keyframe(
-    anchor_xy: tuple[float, float],
-    agent_id: str,
-    keyframes: Sequence[Keyframe],
-    recordings: Mapping[str, Recording],
-) -> tuple[Keyframe, Pose2]:
-    """The agent's keyframe nearest the anchor in ground truth, and its true pose."""
-    if agent_id not in recordings:
-        raise ValueError(f"no recording for agent {agent_id!r}")
-    own = [kf for kf in keyframes if kf.agent_id == agent_id]
-    best: Optional[tuple[Keyframe, Pose2]] = None
+    label: str, anchor_xy: Point, truth: Mapping[NodeKey, Pose2]
+) -> NodeKey:
+    """The labelled agent's keyframe nearest the anchor in ground truth."""
+    agent = label.partition("/")[0]
+    if not agent:
+        raise ValueError(f"anchor label {label!r} is not of the form 'agent/tag'")
+    best: Optional[NodeKey] = None
     best_d = math.inf
-    for kf, truth in zip(own, _truth_poses(own, recordings)):
-        d = math.hypot(truth.x - anchor_xy[0], truth.y - anchor_xy[1])
-        if d < best_d:
-            best, best_d = (kf, truth), d
+    for key, pose in truth.items():
+        if key[0] == agent:
+            d = math.hypot(pose.x - anchor_xy[0], pose.y - anchor_xy[1])
+            if d < best_d:
+                best, best_d = key, d
     if best is None or best_d > MAX_ANCHOR_DISTANCE_M:
         raise ValueError(
-            f"agent {agent_id!r} has no keyframe within {MAX_ANCHOR_DISTANCE_M} m "
+            f"agent {agent!r} has no keyframe within {MAX_ANCHOR_DISTANCE_M} m "
             f"of anchor {anchor_xy}"
         )
     return best
 
 
 def end_point_error(
-    anchors: Mapping[str, tuple[float, float]],
-    start_label: str,
-    end_label: str,
-    keyframes: Sequence[Keyframe],
-    recordings: Mapping[str, Recording],
-    estimated: Mapping[NodeKey, Pose2],
-) -> EpeReport:
-    """Compare estimated against true separation of two anchor visits.
+    anchors: Mapping[str, Point],
+    truth: Mapping[NodeKey, Pose2],
+    initial: Mapping[NodeKey, Pose2],
+    optimized: Mapping[NodeKey, Pose2],
+) -> dict:
+    """Compare estimated against true separation of the start and end anchor
+    visits, for the initial and the optimized poses.
 
-    Anchor labels name which agent's visit is meant ("a0/start"), and the
-    keyframe actually closest to the anchor in ground truth stands in for
-    the visit. The truth separation uses the same keyframes' true poses, so
-    a perfect estimate scores exactly zero even when keyframes sit slightly
-    off the anchor point.
+    The anchor table holds at most one label ending in "/start" and one
+    ending in "/end"; without both there is nothing to score and the result
+    is {}. A label names which agent's visit is meant ("a0/start"), and
+    that agent's keyframe closest to the anchor in ground truth stands in
+    for the visit. The truth separation uses the same keyframes' true
+    poses, so a perfect estimate scores exactly zero even when keyframes
+    sit slightly off the anchor point.
     """
-    if start_label not in anchors or end_label not in anchors:
-        raise ValueError("anchor labels must both be present in the map's anchor table")
-    agent_s, _ = _parse_anchor(start_label)
-    agent_e, _ = _parse_anchor(end_label)
-    kf_s, truth_s = _nearest_keyframe(anchors[start_label], agent_s, keyframes, recordings)
-    kf_e, truth_e = _nearest_keyframe(anchors[end_label], agent_e, keyframes, recordings)
-    truth_sep = math.hypot(truth_e.x - truth_s.x, truth_e.y - truth_s.y)
-    if kf_s.key not in estimated or kf_e.key not in estimated:
-        raise ValueError("estimated poses are missing an anchor keyframe")
-    ps, pe = estimated[kf_s.key], estimated[kf_e.key]
-    est_sep = math.hypot(pe.x - ps.x, pe.y - ps.y)
-    return EpeReport(
-        label_start=start_label,
-        label_end=end_label,
-        node_start=kf_s.key,
-        node_end=kf_e.key,
-        truth_separation_m=truth_sep,
-        estimated_separation_m=est_sep,
-    )
+    labels = _anchor_label(anchors, "/start"), _anchor_label(anchors, "/end")
+    if None in labels:
+        return {}
+    start, end = (_nearest_keyframe(label, anchors[label], truth) for label in labels)
+
+    def separation(poses: Mapping[NodeKey, Pose2]) -> float:
+        if start not in poses or end not in poses:
+            raise ValueError("estimated poses are missing an anchor keyframe")
+        return math.hypot(poses[end].x - poses[start].x, poses[end].y - poses[start].y)
+
+    truth_sep = separation(truth)
+    base_e, opt_e = (abs(separation(poses) - truth_sep) for poses in (initial, optimized))
+    return {
+        "anchor_start": labels[0],
+        "anchor_end": labels[1],
+        "separation_truth_m": truth_sep,
+        "epe_baseline_m": base_e,
+        "epe_optimized_m": opt_e,
+        "epe_reduction_fraction": (base_e - opt_e) / base_e if base_e > 0.0 else 0.0,
+    }
 
 
 def absolute_trajectory_error(
-    keyframes: Sequence[Keyframe],
-    recordings: Mapping[str, Recording],
-    estimated: Mapping[NodeKey, Pose2],
+    truth: Mapping[NodeKey, Pose2], estimated: Mapping[NodeKey, Pose2]
 ) -> float:
     """RMSE of estimated keyframe positions against truth, in meters.
 
     The estimate is first moved by the one rigid 2D transform that fits it
     best to truth (_rigid_fit), so the error is the map's shape and not the
-    choice of its frame, as in Sturm et al., IROS 2012. Truth is each
-    keyframe's true pose at its timestamp; keyframes without an estimate
-    are left out.
+    choice of its frame, as in Sturm et al., IROS 2012. Keyframes without
+    an estimate are left out.
     """
-    scored = [kf for kf in keyframes if kf.key in estimated]
+    scored = [key for key in truth if key in estimated]
     if len(scored) < 2:
         raise ValueError("absolute trajectory error needs at least two estimated keyframes")
-    est = np.array([[estimated[kf.key].x, estimated[kf.key].y] for kf in scored])
-    truth = np.array([[pose.x, pose.y] for pose in _truth_poses(scored, recordings)])
-    theta, _, _, tx, ty = _rigid_fit(est, truth)
+    est = np.array([[estimated[key].x, estimated[key].y] for key in scored])
+    true_xy = np.array([[truth[key].x, truth[key].y] for key in scored])
+    theta, _, _, tx, ty = _rigid_fit(est, true_xy)
     aligned = transform_points(Pose2(tx, ty, theta), est)
-    return float(np.sqrt(np.mean(np.sum((aligned - truth) ** 2, axis=1))))
+    return float(np.sqrt(np.mean(np.sum((aligned - true_xy) ** 2, axis=1))))
 
 
 def travel_distance_m(recordings: Mapping[str, Recording]) -> float:

@@ -30,6 +30,7 @@ from .evaluation import (
     ScoreReport,
     absolute_trajectory_error,
     end_point_error,
+    keyframe_truth,
     score_candidates,
     threshold_sweep,
     travel_distance_m,
@@ -195,18 +196,6 @@ def _metrics_from_pr(report: ScoreReport) -> dict:
     }
 
 
-def _find_anchor_labels(plan: FloorPlan) -> Optional[tuple[str, str]]:
-    start = end = None
-    for label, _ in plan.named_anchors:
-        if label.endswith("/start"):
-            start = label
-        elif label.endswith("/end"):
-            end = label
-    if start is None or end is None:
-        return None
-    return start, end
-
-
 def stage_evaluate(result: PipelineResult) -> dict:
     cfg = result.config
     by_key = result.keyframes_by_key
@@ -234,40 +223,24 @@ def stage_evaluate(result: PipelineResult) -> dict:
     }
 
     if result.optimized:
+        truth = keyframe_truth(result.keyframes, result.recordings)
         try:
             ate_initial, ate_optimized = (
-                absolute_trajectory_error(result.keyframes, result.recordings, poses)
+                absolute_trajectory_error(truth, poses)
                 for poses in (result.initial, result.optimized)
             )
         except ValueError as exc:
             log.warning("absolute trajectory error unavailable: %s", exc)
         else:
             trajectory.update({"ate_initial_m": ate_initial, "ate_optimized_m": ate_optimized})
-
-    labels = _find_anchor_labels(result.plan)
-    if labels and result.optimized:
-        anchors = dict(result.plan.named_anchors)
         try:
-            baseline, optimized = (
-                end_point_error(anchors, *labels, result.keyframes, result.recordings, poses)
-                for poses in (result.initial, result.optimized)
+            trajectory.update(
+                end_point_error(
+                    dict(result.plan.named_anchors), truth, result.initial, result.optimized
+                )
             )
         except ValueError as exc:
             log.warning("end-point error unavailable: %s", exc)
-        else:
-            base_e, opt_e = baseline.end_point_error_m, optimized.end_point_error_m
-            trajectory.update(
-                {
-                    "anchor_start": labels[0],
-                    "anchor_end": labels[1],
-                    "separation_truth_m": baseline.truth_separation_m,
-                    "epe_baseline_m": base_e,
-                    "epe_optimized_m": opt_e,
-                    "epe_reduction_fraction": (
-                        (base_e - opt_e) / base_e if base_e > 0.0 else 0.0
-                    ),
-                }
-            )
     metrics["trajectory"] = trajectory
     return metrics
 

@@ -232,14 +232,21 @@ class TestReadersRunWithTheRecordedSettings:
         assert "unrecognized arguments" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in simulated.iterdir()} == before
 
-    def test_evaluate_adds_a_sweep_and_keeps_the_seed(self, simulated):
+    def test_evaluate_adds_a_sweep_and_keeps_the_seed(self, simulated, capsys):
         out = str(simulated)
         assert main(["match", "--out", out]) == 0
         assert main(["align", "--out", out]) == 0
 
+        capsys.readouterr()
         assert main(["evaluate", "--out", out, "--sweep"]) == 0
         metrics = json.loads((simulated / "metrics.json").read_text())
         assert (metrics["seed"], len(metrics["sweep"])) == (1, 9)
+        # The summary line reports the map's accuracy as run-all's does.
+        trajectory = metrics["trajectory"]
+        assert capsys.readouterr().out.endswith(
+            f"; absolute trajectory error {trajectory['ate_optimized_m']:.3f} m"
+            f"; end-point error {trajectory['epe_optimized_m']:.3f} m\n"
+        )
 
         assert main(["evaluate", "--out", out]) == 0
         metrics = json.loads((simulated / "metrics.json").read_text())

@@ -10,6 +10,7 @@ from textwifi_slam.evaluation import (
     PrMetrics,
     absolute_trajectory_error,
     end_point_error,
+    keyframe_truth,
     score_candidates,
     threshold_sweep,
     travel_distance_m,
@@ -155,97 +156,101 @@ def truth_recording(agent: str, samples) -> Recording:
 
 class TestEndPointError:
     ANCHORS = {"a0/start": (2.0, 3.0), "a2/end": (12.0, 8.0)}
+    TRUTH = {
+        ("a0", 0): Pose2(2.1, 3.0, 0.0),
+        ("a0", 1): Pose2(6.0, 3.0, 0.0),
+        ("a2", 0): Pose2(12.0, 8.3, 0.0),
+    }
 
     def setup_method(self):
-        self.keyframes = [
-            make_keyframe("a0", 0, 0.0),
-            make_keyframe("a0", 1, 5.0),
-            make_keyframe("a2", 0, 7.0),
-        ]
-        self.recordings = {
-            "a0": truth_recording("a0", [(0.0, 2.1, 3.0), (5.0, 6.0, 3.0)]),
-            "a2": truth_recording("a2", [(7.0, 12.0, 8.3)]),
+        self.initial = {
+            ("a0", 0): Pose2(2.0, 3.0, 0.0),
+            ("a0", 1): Pose2(6.5, 3.0, 0.0),
+            ("a2", 0): Pose2(14.0, 9.0, 0.0),
         }
-        self.estimated = {
+        self.optimized = {
             ("a0", 0): Pose2(2.0, 3.0, 0.0),
             ("a0", 1): Pose2(6.5, 3.0, 0.0),
             ("a2", 0): Pose2(11.0, 8.0, 0.0),
         }
 
-    def report(self):
-        return end_point_error(
-            self.ANCHORS, "a0/start", "a2/end",
-            self.keyframes, self.recordings, self.estimated,
-        )
+    def epe(self, anchors=ANCHORS):
+        return end_point_error(anchors, self.TRUTH, self.initial, self.optimized)
 
     def test_separation_compared_at_matched_keyframes(self):
-        report = self.report()
-        assert report.node_start == ("a0", 0)
-        assert report.node_end == ("a2", 0)
-        assert report.truth_separation_m == pytest.approx(math.hypot(9.9, 5.3), abs=1e-12)
-        assert report.estimated_separation_m == pytest.approx(math.hypot(9.0, 5.0), abs=1e-12)
-        assert report.end_point_error_m == pytest.approx(
-            abs(math.hypot(9.0, 5.0) - math.hypot(9.9, 5.3)), abs=1e-12
-        )
+        truth_sep = math.hypot(9.9, 5.3)
+        base_e = abs(math.hypot(12.0, 6.0) - truth_sep)
+        opt_e = abs(math.hypot(9.0, 5.0) - truth_sep)
+        epe = self.epe()
+        assert list(epe) == [
+            "anchor_start", "anchor_end", "separation_truth_m",
+            "epe_baseline_m", "epe_optimized_m", "epe_reduction_fraction",
+        ]
+        assert (epe["anchor_start"], epe["anchor_end"]) == ("a0/start", "a2/end")
+        assert epe["separation_truth_m"] == pytest.approx(truth_sep, abs=1e-12)
+        assert epe["epe_baseline_m"] == pytest.approx(base_e, abs=1e-12)
+        assert epe["epe_optimized_m"] == pytest.approx(opt_e, abs=1e-12)
+        assert epe["epe_reduction_fraction"] == pytest.approx((base_e - opt_e) / base_e)
 
     def test_perfect_estimate_scores_zero(self):
-        self.estimated[("a0", 0)] = Pose2(2.1, 3.0, 0.0)
-        self.estimated[("a2", 0)] = Pose2(12.0, 8.3, 0.0)
-        assert self.report().end_point_error_m == pytest.approx(0.0, abs=1e-12)
+        self.optimized = dict(self.TRUTH)
+        epe = self.epe()
+        assert epe["epe_optimized_m"] == pytest.approx(0.0, abs=1e-12)
+        assert epe["epe_reduction_fraction"] == pytest.approx(1.0)
 
-    def test_unknown_anchor_label(self):
-        with pytest.raises(ValueError):
-            end_point_error(
-                self.ANCHORS, "a0/start", "a5/nowhere",
-                self.keyframes, self.recordings, self.estimated,
-            )
+    def test_a_perfect_baseline_reduces_nothing(self):
+        self.initial = dict(self.TRUTH)
+        assert self.epe()["epe_baseline_m"] == 0.0
+        assert self.epe()["epe_reduction_fraction"] == 0.0
+
+    @pytest.mark.parametrize(
+        "anchors",
+        [{}, {"a0/start": (2.0, 3.0)}, {"a2/end": (12.0, 8.0), "a0/middle": (6.0, 3.0)}],
+        ids=["none", "start-only", "end-only"],
+    )
+    def test_a_plan_without_both_anchors_scores_nothing(self, anchors):
+        assert self.epe(anchors) == {}
+
+    @pytest.mark.parametrize("label", ["a0/start", "a2/end"])
+    def test_two_labels_of_one_kind_name_both(self, label):
+        twin = "a1/" + label.partition("/")[2]
+        with pytest.raises(ValueError, match=f"'{label}', '{twin}'"):
+            self.epe({**self.ANCHORS, twin: (6.0, 3.0)})
 
     def test_malformed_anchor_label(self):
-        anchors = dict(self.ANCHORS, badlabel=(1.0, 1.0))
+        anchors = {"/start": (2.0, 3.0), "a2/end": (12.0, 8.0)}
         with pytest.raises(ValueError, match="agent/tag"):
-            end_point_error(
-                anchors, "badlabel", "a2/end",
-                self.keyframes, self.recordings, self.estimated,
-            )
+            self.epe(anchors)
 
     def test_agent_without_recording(self):
-        anchors = {**self.ANCHORS, "a9/start": (0.0, 0.0)}
-        with pytest.raises(ValueError, match="no recording"):
-            end_point_error(
-                anchors, "a9/start", "a2/end",
-                self.keyframes, self.recordings, self.estimated,
-            )
+        # An agent with no recording has no keyframe in the truth table.
+        anchors = {"a9/start": (2.0, 3.0), "a2/end": (12.0, 8.0)}
+        with pytest.raises(ValueError, match="'a9' has no keyframe within"):
+            self.epe(anchors)
 
     def test_anchor_too_far_from_any_keyframe(self):
         far = {**self.ANCHORS, "a0/start": (2.0, 3.7)}  # 0.7 m off
         with pytest.raises(ValueError, match="within"):
-            end_point_error(
-                far, "a0/start", "a2/end",
-                self.keyframes, self.recordings, self.estimated,
-            )
+            self.epe(far)
 
     def test_missing_estimated_pose(self):
-        del self.estimated[("a2", 0)]
-        with pytest.raises(ValueError, match="missing"):
-            self.report()
+        for poses in (self.initial, self.optimized):
+            pose = poses.pop(("a2", 0))
+            with pytest.raises(ValueError, match="missing"):
+                self.epe()
+            poses[("a2", 0)] = pose
 
 
 class TestAbsoluteTrajectoryError:
-    TRUTH = [(0.0, 0.0, 0.0), (1.0, 4.0, 0.0), (2.0, 4.0, 3.0), (3.0, 0.0, 3.0)]
-
-    def setup_method(self):
-        self.keyframes = [make_keyframe("a0", i, t) for i, (t, _, _) in enumerate(self.TRUTH)]
-        self.recordings = {"a0": truth_recording("a0", self.TRUTH)}
+    CORNERS = [(0.0, 0.0), (4.0, 0.0), (4.0, 3.0), (0.0, 3.0)]
+    TRUTH = {("a0", i): Pose2(x, y, 0.0) for i, (x, y) in enumerate(CORNERS)}
 
     def ate(self, estimated):
-        return absolute_trajectory_error(self.keyframes, self.recordings, estimated)
+        return absolute_trajectory_error(self.TRUTH, estimated)
 
     def test_a_rigidly_moved_truth_scores_zero(self):
         frame = Pose2(-7.0, 2.5, 2.0)
-        moved = {
-            kf.key: compose(frame, Pose2(x, y, 0.0))
-            for kf, (_, x, y) in zip(self.keyframes, self.TRUTH)
-        }
+        moved = {key: compose(frame, pose) for key, pose in self.TRUTH.items()}
         assert self.ate(moved) == pytest.approx(0.0, abs=1e-12)
 
     def test_error_is_the_rms_after_the_best_alignment(self):
@@ -261,7 +266,7 @@ class TestAbsoluteTrajectoryError:
         assert self.ate(estimated) == pytest.approx(math.sqrt(2.0 * 0.01 / 4.0), abs=1e-12)
 
     def test_keyframes_without_an_estimate_are_left_out(self):
-        estimated = {kf.key: Pose2(x, y, 0.0) for kf, (_, x, y) in zip(self.keyframes, self.TRUTH)}
+        estimated = {**self.TRUTH, ("a9", 0): Pose2(50.0, 50.0, 0.0)}
         del estimated[("a0", 3)]
         assert self.ate(estimated) == pytest.approx(0.0, abs=1e-12)
         with pytest.raises(ValueError, match="two"):
@@ -269,12 +274,15 @@ class TestAbsoluteTrajectoryError:
 
 
 def test_ate_and_epe_equal_their_per_keyframe_truth_lookups():
-    # Truth poses are looked up with one truths_at per agent; the metrics
-    # must equal the same formulas fed one truths_at call per keyframe.
+    # The truth table is built with one truths_at per agent; it must equal
+    # one truths_at call per keyframe, in keyframe order, and the metrics
+    # must equal their formulas over it.
     plan, scripts = stage_generate(RunConfig(scenario="scene01"))
     recordings = stage_simulate(plan, scripts)
     keyframes = extract_all_keyframes(recordings)
-    truth = {kf.key: recordings[kf.agent_id].truths_at([kf.timestamp])[0] for kf in keyframes}
+    truth = keyframe_truth(keyframes, recordings)
+    expected = {kf.key: recordings[kf.agent_id].truths_at([kf.timestamp])[0] for kf in keyframes}
+    assert list(truth.items()) == list(expected.items())
     estimated = {
         kf.key: Pose2(truth[kf.key].x + 0.01 * i, truth[kf.key].y - 0.02 * (i % 7), 0.0)
         for i, kf in enumerate(keyframes)
@@ -285,7 +293,7 @@ def test_ate_and_epe_equal_their_per_keyframe_truth_lookups():
     theta, _, _, tx, ty = _rigid_fit(est, true_xy)
     aligned = transform_points(Pose2(tx, ty, theta), est)
     expected_ate = float(np.sqrt(np.mean(np.sum((aligned - true_xy) ** 2, axis=1))))
-    assert absolute_trajectory_error(keyframes, recordings, estimated) == expected_ate
+    assert absolute_trajectory_error(truth, estimated) == expected_ate
 
     def nearest(label):
         (x, y), agent = dict(plan.named_anchors)[label], label.partition("/")[0]
@@ -293,18 +301,16 @@ def test_ate_and_epe_equal_their_per_keyframe_truth_lookups():
         distance = [math.hypot(truth[kf.key].x - x, truth[kf.key].y - y) for kf in own]
         return own[distance.index(min(distance))].key
 
+    def separation(poses, s, e):
+        return math.hypot(poses[e].x - poses[s].x, poses[e].y - poses[s].y)
+
     start, end = (label for label, _ in plan.named_anchors)
-    report = end_point_error(
-        dict(plan.named_anchors), start, end, keyframes, recordings, estimated
-    )
+    epe = end_point_error(dict(plan.named_anchors), truth, truth, estimated)
     s, e = nearest(start), nearest(end)
-    assert (report.node_start, report.node_end) == (s, e)
-    assert report.truth_separation_m == math.hypot(
-        truth[e].x - truth[s].x, truth[e].y - truth[s].y
-    )
-    assert report.estimated_separation_m == math.hypot(
-        estimated[e].x - estimated[s].x, estimated[e].y - estimated[s].y
-    )
+    assert (epe["anchor_start"], epe["anchor_end"]) == (start, end)
+    assert epe["separation_truth_m"] == separation(truth, s, e)
+    assert epe["epe_baseline_m"] == 0.0
+    assert epe["epe_optimized_m"] == abs(separation(estimated, s, e) - separation(truth, s, e))
 
 
 def test_travel_distance_sums_all_agents():
