@@ -12,17 +12,19 @@ command-line flags (only on the commands that write config.json).
 Validation rejects values no stage can run with, including a value of the
 wrong type and a scenario name the scenarios module does not know. A config
 file or override naming a key that is not a field here is rejected whole,
-so none is silently ignored.
+so none is silently ignored. A config file is read as every artifact is
+(io_formats.load_json), so one that is not JSON, or holds NaN or an
+infinity, is refused with the file's name.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Union, get_type_hints
 
+from . import io_formats
 from .place_recognition import Thresholds
 from .scenarios import scenario_names
 from .world import DUPLICATE_TEXT_POOL
@@ -78,8 +80,9 @@ _FIELD_TYPES = get_type_hints(RunConfig)
 
 
 def load_config_file(path: PathLike) -> dict:
-    """Read a config document and reject keys we would silently ignore."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Read a config document, through the reader of every other JSON
+    artifact, and reject keys we would silently ignore."""
+    data = io_formats.load_json(path)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     unknown = sorted(set(data) - _FIELD_NAMES)

@@ -4,7 +4,8 @@ Ground truth for a candidate pair comes from the simulator: two text
 observations are the same place exactly when they carry the same source
 sign id. Precision/recall are reported for the text gate alone, the WiFi
 gates alone, and the fused cascade, so the benefit of fusing is visible in
-one table.
+one table. score_candidates and threshold_sweep return metrics.json's
+scoring rows as the file holds them; no other module builds one.
 
 Map accuracy is scored from one truth table, keyframe_truth: each
 keyframe's true pose at its timestamp, looked up once per evaluation. Both
@@ -15,8 +16,7 @@ the end-point error between the plan's start and end anchor visits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -38,86 +38,63 @@ from .world import Point
 MAX_ANCHOR_DISTANCE_M = 0.5
 
 
-@dataclass(frozen=True)
-class PrMetrics:
-    true_positives: int
-    false_positives: int
-    false_negatives: int
-
-    @property
-    def precision(self) -> float:
-        accepted = self.true_positives + self.false_positives
-        if accepted == 0:
-            return 0.0
-        return self.true_positives / accepted
-
-    @property
-    def recall(self) -> float:
-        actual = self.true_positives + self.false_negatives
-        if actual == 0:
-            return 0.0
-        return self.true_positives / actual
-
-
-@dataclass(frozen=True)
-class ScoreReport:
-    text_only: PrMetrics
-    wifi_only: PrMetrics
-    fused: PrMetrics
-    candidate_count: int
-    positive_count: int
-
-
-def _pair_is_true(a: Keyframe, b: Keyframe) -> bool:
-    ta, tb = a.text_obs.sign_id_truth, b.text_obs.sign_id_truth
-    if ta is None or tb is None:
-        raise ValueError("candidate keyframes lack ground-truth sign ids")
-    return ta == tb
-
-def _metrics(decisions: Iterable[tuple[bool, bool]]) -> PrMetrics:
-    tp = fp = fn = 0
-    for accepted, truth in decisions:
-        if accepted and truth:
-            tp += 1
-        elif accepted:
-            fp += 1
-        elif truth:
-            fn += 1
-    return PrMetrics(tp, fp, fn)
-
-
 def _truths(
     candidates: Sequence[MatchCandidate], keyframes_by_key: Mapping[NodeKey, Keyframe]
 ) -> list[bool]:
-    return [_pair_is_true(keyframes_by_key[c.a], keyframes_by_key[c.b]) for c in candidates]
+    """Whether each candidate pair is one place: both keyframes read the same sign."""
+    signs = [
+        tuple(keyframes_by_key[key].text_obs.sign_id_truth for key in (c.a, c.b))
+        for c in candidates
+    ]
+    if any(None in pair for pair in signs):
+        raise ValueError("candidate keyframes lack ground-truth sign ids")
+    return [a == b for a, b in signs]
 
 
 def _wifi_accepts(candidates: Sequence[MatchCandidate], thresholds: Thresholds) -> list[bool]:
     return [wifi_verdict(c.wifi_score, thresholds) is Verdict.ACCEPTED for c in candidates]
 
 
-def _report(
+def _row(accepted: Sequence[bool], truths: Sequence[bool]) -> dict:
+    """One precision/recall row; a zero denominator reads as 0.0."""
+    tp = sum(a and t for a, t in zip(accepted, truths))
+    fp, fn = sum(accepted) - tp, sum(truths) - tp
+    return {
+        "precision": tp / (tp + fp) if tp + fp else 0.0,
+        "recall": tp / (tp + fn) if tp + fn else 0.0,
+        "true_positives": tp,
+        "false_positives": fp,
+        "false_negatives": fn,
+    }
+
+
+def _precision_recall(
     candidates: Sequence[MatchCandidate], truths: list[bool], wifi_ok: list[bool], alpha: float
-) -> ScoreReport:
+) -> dict:
     text_ok = [c.text_score >= alpha for c in candidates]
     fused = [t and w for t, w in zip(text_ok, wifi_ok)]
-    return ScoreReport(
-        text_only=_metrics(zip(text_ok, truths)),
-        wifi_only=_metrics(zip(wifi_ok, truths)),
-        fused=_metrics(zip(fused, truths)),
-        candidate_count=len(truths),
-        positive_count=sum(truths),
-    )
+    return {
+        "text_only": _row(text_ok, truths),
+        "wifi_only": _row(wifi_ok, truths),
+        "fused": _row(fused, truths),
+    }
 
 
 def score_candidates(
     candidates: Sequence[MatchCandidate],
     keyframes_by_key: Mapping[NodeKey, Keyframe],
     thresholds: Thresholds,
-) -> ScoreReport:
-    """Score scored candidates against simulator ground truth."""
+) -> dict:
+    """metrics.json's scoring section: the candidate and true-pair counts and
+    the precision/recall rows of the candidates at thresholds."""
     truths = _truths(candidates, keyframes_by_key)
-    return _report(candidates, truths, _wifi_accepts(candidates, thresholds), thresholds.alpha)
+    return {
+        "candidate_count": len(truths),
+        "true_pair_count": sum(truths),
+        "precision_recall": _precision_recall(
+            candidates, truths, _wifi_accepts(candidates, thresholds), thresholds.alpha
+        ),
+    }
 
 
 # The threshold sweep's grid: each alpha against each (beta, gamma) pair.
@@ -128,8 +105,9 @@ SWEEP_BETA_GAMMAS = ((0.5, 0.5), (0.8, 0.8), (0.9, 0.9))
 def threshold_sweep(
     candidates: Sequence[MatchCandidate],
     keyframes_by_key: Mapping[NodeKey, Keyframe],
-) -> list[tuple[Thresholds, ScoreReport]]:
-    """Re-score the same candidates across the SWEEP_* grid of gate thresholds.
+) -> list[dict]:
+    """metrics.json's sweep: the precision/recall rows of the same candidates
+    at each point of the SWEEP_* grid of gate thresholds, alpha outermost.
 
     Each candidate's truth is looked up once, and its WiFi verdict taken
     once per (beta, gamma) pair; the text gate is a comparison per alpha.
@@ -141,10 +119,12 @@ def threshold_sweep(
         for beta, gamma in SWEEP_BETA_GAMMAS
     }
     return [
-        (
-            Thresholds(alpha=alpha, beta=beta, gamma=gamma),
-            _report(candidates, truths, wifi_ok[beta, gamma], alpha),
-        )
+        {
+            "alpha": alpha,
+            "beta": beta,
+            "gamma": gamma,
+            **_precision_recall(candidates, truths, wifi_ok[beta, gamma], alpha),
+        }
         for alpha in SWEEP_ALPHAS
         for beta, gamma in SWEEP_BETA_GAMMAS
     ]

@@ -35,7 +35,7 @@ import json
 import math
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -397,6 +397,32 @@ def save_match_report(
         )
 
 
+# The JSON value types a number field may hold, compared by exact type:
+# bool is a subclass of int, and the parser gives no other number types.
+_NUMBER = (int, float), "a number"
+_REPORT_NUMBERS = {
+    "text_score": _NUMBER,
+    "mac_similarity": _NUMBER,
+    "rss_similarity": _NUMBER,
+    "rss_distance_db": ((int, float, type(None)), "a number or null"),
+}
+_POSE_NUMBERS = {
+    "keyframe_id": ((int,), "an integer"),
+    "x": _NUMBER,
+    "y": _NUMBER,
+    "theta": _NUMBER,
+}
+
+
+def _wrong_type(row: Mapping, fields: Mapping[str, tuple]) -> Optional[str]:
+    """What is wrong with the first of fields whose value in row is not of
+    its JSON types, or None when none is."""
+    for name, (types, described) in fields.items():
+        if type(row[name]) not in types:
+            return f"{name} must be {described}, got {row[name]!r}"
+    return None
+
+
 _VERDICTS = {v.value: v for v in Verdict}
 _candidate_fields = itemgetter(
     "a", "b", "text_score", "mac_similarity", "rss_distance_db", "rss_similarity", "verdict"
@@ -407,8 +433,9 @@ def load_match_report(path: PathLike) -> list[MatchCandidate]:
     """The report's candidates; no stage reads its verified locations back.
 
     A row that lacks a field, holds a node key that is not one agent and
-    one keyframe id, or names an unknown verdict raises ValueError naming
-    the file and the row's index.
+    one keyframe id, holds a score that is not a JSON number (or, for
+    rss_distance_db, null), or names an unknown verdict raises ValueError
+    naming the file and the row's index.
     """
     candidates = []
     for i, row in enumerate(load_json(path)["candidates"]):
@@ -416,6 +443,9 @@ def load_match_report(path: PathLike) -> list[MatchCandidate]:
             raw_a, raw_b, text, mac, dist, rss, verdict = _candidate_fields(row)
         except KeyError as exc:
             raise ValueError(f"{path}: candidate {i}: missing field {exc}") from None
+        wrong = _wrong_type(row, _REPORT_NUMBERS)
+        if wrong:
+            raise ValueError(f"{path}: candidate {i}: {wrong}")
         try:
             (agent_a, id_a), (agent_b, id_b) = raw_a, raw_b
             a, b = (str(agent_a), int(id_a)), (str(agent_b), int(id_b))
@@ -446,11 +476,16 @@ def poses_to_list(poses: Mapping[NodeKey, Pose2]) -> list[dict]:
     return rows
 
 
-def poses_from_list(rows: Sequence[Mapping]) -> dict[NodeKey, Pose2]:
-    return {
-        (row["agent"], row["keyframe_id"]): Pose2(row["x"], row["y"], row["theta"])
-        for row in rows
-    }
+def poses_from_list(rows: Sequence[Mapping], where: str) -> dict[NodeKey, Pose2]:
+    """The poses of rows; a row whose keyframe_id is not an integer, or whose
+    x, y or theta is not a number, raises ValueError naming where and the row."""
+    poses = {}
+    for i, row in enumerate(rows):
+        wrong = _wrong_type(row, _POSE_NUMBERS)
+        if wrong:
+            raise ValueError(f"{where} row {i}: {wrong}")
+        poses[row["agent"], row["keyframe_id"]] = Pose2(row["x"], row["y"], row["theta"])
+    return poses
 
 
 def save_trajectories(
@@ -467,11 +502,13 @@ def save_trajectories(
 
 def load_trajectories(path: PathLike) -> tuple[dict[NodeKey, Pose2], dict[NodeKey, Pose2], dict]:
     """The initial and optimized poses and the extras; a missing field raises
-    ValueError naming the file and the field."""
+    ValueError naming the file and the field, a value of the wrong type one
+    naming the file, the list and the row's index."""
     data = load_json(path)
     try:
-        initial = poses_from_list(data["initial"])
-        optimized = poses_from_list(data["optimized"])
+        initial, optimized = (
+            poses_from_list(data[name], f"{path}: {name}") for name in ("initial", "optimized")
+        )
     except KeyError as exc:
         raise ValueError(f"{path}: missing field {exc}") from None
     extras = {k: v for k, v in data.items() if k not in ("initial", "optimized")}

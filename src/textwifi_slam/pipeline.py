@@ -27,7 +27,6 @@ from typing import Mapping, Optional
 from . import io_formats
 from .config import RunConfig
 from .evaluation import (
-    ScoreReport,
     absolute_trajectory_error,
     end_point_error,
     keyframe_truth,
@@ -179,40 +178,17 @@ def stage_align(result: PipelineResult) -> None:
     result.merged = merge_maps(result.optimized, result.keyframes)
 
 
-def _metrics_from_pr(report: ScoreReport) -> dict:
-    def row(m) -> dict:
-        return {
-            "precision": m.precision,
-            "recall": m.recall,
-            "true_positives": m.true_positives,
-            "false_positives": m.false_positives,
-            "false_negatives": m.false_negatives,
-        }
-
-    return {
-        "text_only": row(report.text_only),
-        "wifi_only": row(report.wifi_only),
-        "fused": row(report.fused),
-    }
-
-
 def stage_evaluate(result: PipelineResult) -> dict:
     cfg = result.config
     by_key = result.keyframes_by_key
-    report = score_candidates(result.candidates, by_key, cfg.thresholds())
     metrics: dict = {
         "scene": cfg.scenario,
         "seed": cfg.seed,
         "thresholds": {"alpha": cfg.alpha, "beta": cfg.beta, "gamma": cfg.gamma},
-        "candidate_count": report.candidate_count,
-        "true_pair_count": report.positive_count,
-        "precision_recall": _metrics_from_pr(report),
+        **score_candidates(result.candidates, by_key, cfg.thresholds()),
     }
     if cfg.sweep:
-        metrics["sweep"] = [
-            {"alpha": th.alpha, "beta": th.beta, "gamma": th.gamma, **_metrics_from_pr(swept)}
-            for th, swept in threshold_sweep(result.candidates, by_key)
-        ]
+        metrics["sweep"] = threshold_sweep(result.candidates, by_key)
 
     trajectory: dict = {
         "travel_distance_m": travel_distance_m(result.recordings),

@@ -81,6 +81,31 @@ class TestExitCodes:
         assert code == 1
         assert "alhpa" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"alpha": 0.9, ', "Expecting property name"),
+            ('{"alpha": NaN}', "NaN is not valid JSON"),
+        ],
+        ids=["truncated", "nan"],
+    )
+    @pytest.mark.parametrize("source", ["--config", "directory"])
+    def test_a_config_file_that_is_not_json_is_named(
+        self, tmp_path, capsys, text, message, source
+    ):
+        out = tmp_path / "o"
+        out.mkdir()
+        if source == "--config":
+            cfg = tmp_path / "run.json"
+            argv = ["generate", "--config", str(cfg), "--out", str(out)]
+        else:
+            cfg = out / "config.json"
+            argv = ["match", "--out", str(out)]
+        cfg.write_text(text)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"configuration error: {cfg}: {message}" in err
+
     def test_directory_with_removed_settings_is_a_configuration_error(self, tmp_path, capsys):
         # A config.json written while these values were still run settings;
         # they are module constants now.

@@ -7,7 +7,6 @@ import pytest
 
 from textwifi_slam.config import RunConfig
 from textwifi_slam.evaluation import (
-    PrMetrics,
     absolute_trajectory_error,
     end_point_error,
     keyframe_truth,
@@ -32,17 +31,14 @@ from textwifi_slam.wifi import WifiMatchScore
 from conftest import make_keyframe
 
 
-class TestPrMetrics:
-    def test_arithmetic(self):
-        m = PrMetrics(true_positives=3, false_positives=1, false_negatives=2)
-        assert m.precision == pytest.approx(0.75)
-        assert m.recall == pytest.approx(0.6)
-
-    def test_zero_denominators_read_as_zero(self):
-        assert PrMetrics(0, 0, 0).precision == 0.0
-        assert PrMetrics(0, 0, 0).recall == 0.0
-        assert PrMetrics(0, 0, 5).precision == 0.0
-        assert PrMetrics(0, 3, 0).recall == 0.0
+def row(tp: int, fp: int, fn: int, precision: float, recall: float) -> dict:
+    return {
+        "precision": precision,
+        "recall": recall,
+        "true_positives": tp,
+        "false_positives": fp,
+        "false_negatives": fn,
+    }
 
 
 def cand(a, b, text, mac, rss_sim, verdict=Verdict.ACCEPTED) -> MatchCandidate:
@@ -75,14 +71,31 @@ def scored_world():
 
 def test_per_modality_confusion_counts(scored_world):
     candidates, by_key = scored_world
-    report = score_candidates(candidates, by_key, RunConfig().thresholds())
-    assert report.candidate_count == 4
-    assert report.positive_count == 2
-    assert report.text_only == PrMetrics(1, 1, 1)
-    assert report.wifi_only == PrMetrics(2, 1, 0)
-    assert report.fused == PrMetrics(1, 0, 1)
-    assert report.fused.precision == 1.0
-    assert report.text_only.precision == 0.5
+    assert score_candidates(candidates, by_key, RunConfig().thresholds()) == {
+        "candidate_count": 4,
+        "true_pair_count": 2,
+        "precision_recall": {
+            "text_only": row(1, 1, 1, 0.5, 0.5),
+            "wifi_only": row(2, 1, 0, 2 / 3, 1.0),
+            "fused": row(1, 0, 1, 1.0, 0.5),
+        },
+    }
+
+
+def test_zero_denominators_read_as_zero(scored_world):
+    candidates, by_key = scored_world
+
+    def rows(cands, thresholds) -> dict:
+        return score_candidates(cands, by_key, thresholds)["precision_recall"]
+
+    # One false pair that alpha = 1.0 keeps out: nothing accepted and no
+    # true pair, so precision and recall both divide by zero.
+    assert rows(candidates[1:2], Thresholds(1.0, 0.8, 0.8))["text_only"] == row(0, 0, 0, 0.0, 0.0)
+    # Nothing accepted among two true pairs: precision divides by zero.
+    assert rows(candidates, Thresholds(1.0, 1.0, 1.0))["fused"] == row(0, 0, 2, 0.0, 0.0)
+    # Two false pairs, both accepted: recall divides by zero.
+    false_pairs = [candidates[1], candidates[3]]
+    assert rows(false_pairs, Thresholds(0.0, 0.0, 0.0))["fused"] == row(0, 2, 0, 0.0, 0.0)
 
 
 def test_scoring_follows_the_verdict_when_no_access_point_is_shared():
@@ -94,10 +107,10 @@ def test_scoring_follows_the_verdict_when_no_access_point_is_shared():
     candidate = decide_match(a, b, thresholds)
     assert candidate.verdict is Verdict.REJECTED_MAC
 
-    report = score_candidates([candidate], {a.key: a, b.key: b}, thresholds)
-    assert report.text_only == PrMetrics(1, 0, 0)
-    assert report.wifi_only == PrMetrics(0, 0, 1)
-    assert report.fused == PrMetrics(0, 0, 1)
+    pr = score_candidates([candidate], {a.key: a, b.key: b}, thresholds)["precision_recall"]
+    assert pr["text_only"] == row(1, 0, 0, 1.0, 1.0)
+    assert pr["wifi_only"] == row(0, 0, 1, 0.0, 0.0)
+    assert pr["fused"] == row(0, 0, 1, 0.0, 0.0)
 
 
 def test_scoring_demands_ground_truth(scored_world):
@@ -105,24 +118,35 @@ def test_scoring_demands_ground_truth(scored_world):
     untagged = make_keyframe("a9", 0, 0.0, sign_id=None)
     by_key = {**by_key, untagged.key: untagged}
     rigged = [cand(("a0", 0), ("a9", 0), 0.9, 0.9, 0.9)]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="lack ground-truth sign ids"):
         score_candidates(rigged, by_key, RunConfig().thresholds())
+    with pytest.raises(ValueError, match="lack ground-truth sign ids"):
+        threshold_sweep(rigged, by_key)
+
+
+def thresholds_of(sweep_row: dict) -> Thresholds:
+    return Thresholds(sweep_row["alpha"], sweep_row["beta"], sweep_row["gamma"])
 
 
 def test_sweep_covers_the_grid_and_matches_single_scoring(scored_world):
     candidates, by_key = scored_world
-    rows = dict(threshold_sweep(candidates, by_key))
+    rows = threshold_sweep(candidates, by_key)
     assert len(rows) == 9
-    assert [(th.alpha, th.beta) for th in list(rows)[:3]] == [(0.5, 0.5), (0.5, 0.8), (0.5, 0.9)]
+    assert [(r["alpha"], r["beta"], r["gamma"]) for r in rows[:4]] == [
+        (0.5, 0.5, 0.5), (0.5, 0.8, 0.8), (0.5, 0.9, 0.9), (0.8, 0.5, 0.5)
+    ]
+    keys = {"alpha", "beta", "gamma", "text_only", "wifi_only", "fused"}
+    assert all(set(r) == keys for r in rows)
 
     direct = score_candidates(candidates, by_key, Thresholds(0.8, 0.8, 0.8))
-    assert rows[Thresholds(0.8, 0.8, 0.8)] == direct
+    assert rows[4] == {"alpha": 0.8, "beta": 0.8, "gamma": 0.8, **direct["precision_recall"]}
 
-    strict = rows[Thresholds(alpha=1.0, beta=0.9, gamma=0.9)]
-    assert strict.text_only == PrMetrics(0, 0, 2)  # nothing survives alpha = 1.0
+    strict = rows[-1]
+    assert thresholds_of(strict) == Thresholds(alpha=1.0, beta=0.9, gamma=0.9)
+    assert strict["text_only"] == row(0, 0, 2, 0.0, 0.0)  # nothing survives alpha = 1.0
 
 
-def reference_score(candidates, by_key, th: Thresholds) -> PrMetrics:
+def reference_score(candidates, by_key, th: Thresholds) -> dict:
     """The fused row, decided one candidate at a time from its keyframes."""
     tp = fp = fn = 0
     for c in candidates:
@@ -131,7 +155,9 @@ def reference_score(candidates, by_key, th: Thresholds) -> PrMetrics:
         tp += accepted and truth
         fp += accepted and not truth
         fn += truth and not accepted
-    return PrMetrics(tp, fp, fn)
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    return row(tp, fp, fn, precision, recall)
 
 
 def test_every_sweep_row_equals_scoring_at_its_thresholds(scored_world):
@@ -142,9 +168,11 @@ def test_every_sweep_row_equals_scoring_at_its_thresholds(scored_world):
     for cands, keys in ((candidates, by_key), scored_world):
         rows = threshold_sweep(cands, keys)
         assert len(rows) == 9
-        for th, report in rows:
-            assert report == score_candidates(cands, keys, th)
-            assert report.fused == reference_score(cands, keys, th)
+        for sweep_row in rows:
+            th = thresholds_of(sweep_row)
+            scored = score_candidates(cands, keys, th)["precision_recall"]
+            assert {k: sweep_row[k] for k in scored} == scored
+            assert sweep_row["fused"] == reference_score(cands, keys, th)
 
 
 def truth_recording(agent: str, samples) -> Recording:

@@ -524,8 +524,33 @@ class TestMatchReport:
             (lambda row: row.update(verdict="maybe"), "candidate 1: unknown verdict 'maybe'"),
             (lambda row: row.update(a=["a0"]), "candidate 1: a node key is an agent and a keyframe id"),
             (lambda row: row.update(b=None), "candidate 1: a node key is an agent and a keyframe id"),
+            (
+                lambda row: row.update(mac_similarity=None),
+                "candidate 1: mac_similarity must be a number, got None",
+            ),
+            (
+                lambda row: row.update(rss_similarity=True),
+                "candidate 1: rss_similarity must be a number, got True",
+            ),
+            (
+                lambda row: row.update(text_score="0.9"),
+                "candidate 1: text_score must be a number, got '0.9'",
+            ),
+            (
+                lambda row: row.update(rss_distance_db="far"),
+                "candidate 1: rss_distance_db must be a number or null, got 'far'",
+            ),
         ],
-        ids=["missing-field", "unknown-verdict", "short-node-key", "null-node-key"],
+        ids=[
+            "missing-field",
+            "unknown-verdict",
+            "short-node-key",
+            "null-node-key",
+            "null-mac-similarity",
+            "boolean-rss-similarity",
+            "string-text-score",
+            "string-rss-distance",
+        ],
     )
     def test_a_malformed_row_is_named_by_file_and_index(self, tmp_path, spoil, message):
         path = tmp_path / "match_report.json"
@@ -582,6 +607,42 @@ class TestTrajectories:
         spoil(document)
         path.write_text(json.dumps(document))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: missing field '{field}'$"):
+            load_trajectories(path)
+
+    @pytest.mark.parametrize(
+        "spoil, message",
+        [
+            (
+                lambda doc: doc["initial"][0].update(x="x"),
+                "initial row 0: x must be a number, got 'x'",
+            ),
+            (
+                lambda doc: doc["optimized"][1].update(y=True),
+                "optimized row 1: y must be a number, got True",
+            ),
+            (
+                lambda doc: doc["optimized"][0].update(theta=None),
+                "optimized row 0: theta must be a number, got None",
+            ),
+            (
+                lambda doc: doc["initial"][1].update(keyframe_id=8.0),
+                "initial row 1: keyframe_id must be an integer, got 8.0",
+            ),
+            (
+                lambda doc: doc["initial"][0].update(keyframe_id="7"),
+                "initial row 0: keyframe_id must be an integer, got '7'",
+            ),
+        ],
+        ids=["string-x", "boolean-y", "null-theta", "float-keyframe-id", "string-keyframe-id"],
+    )
+    def test_a_value_of_the_wrong_type_names_the_file_and_row(self, tmp_path, spoil, message):
+        path = tmp_path / "trajectories.json"
+        poses = {("a0", 7): Pose2(1.0, 2.0, 0.5), ("a0", 8): Pose2(3.0, 2.0, 0.5)}
+        save_trajectories(path, poses, poses, {"loop_edge_count": 0})
+        document = json.loads(path.read_text())
+        spoil(document)
+        path.write_text(json.dumps(document))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
             load_trajectories(path)
 
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
